@@ -22,13 +22,9 @@
 // node served traffic, every impossible-deadline request answered 504, and
 // zero 5xx after the node kill.
 #include <arpa/inet.h>
-#include <libgen.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
-#include <signal.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -43,6 +39,7 @@
 
 #include "src/base/clock.h"
 #include "src/base/string_util.h"
+#include "src/benchutil/spawn_node.h"
 #include "src/benchutil/table.h"
 #include "src/func/builtins.h"
 #include "src/http/http_parser.h"
@@ -52,86 +49,6 @@
 #include "src/trace/azure_trace.h"
 
 namespace {
-
-// ---------------------------------------------------------- node spawning
-
-// A dandelion_node daemon spawned next to this binary, handshaking its
-// bound port over a stdout pipe (same contract the cluster tests use).
-struct SpawnedNode {
-  pid_t pid = -1;
-  uint16_t port = 0;
-
-  bool ok() const { return pid > 0 && port != 0; }
-  void Kill(int signal_number = SIGKILL) {
-    if (pid <= 0) return;
-    kill(pid, signal_number);
-    int status = 0;
-    waitpid(pid, &status, 0);
-    pid = -1;
-  }
-};
-
-std::string NodeBinaryPath() {
-  char exe[4096] = {};
-  const ssize_t n = readlink("/proc/self/exe", exe, sizeof(exe) - 1);
-  if (n <= 0) return "";
-  std::string dir(exe, static_cast<size_t>(n));
-  return std::string(dirname(dir.data())) + "/dandelion_node";
-}
-
-SpawnedNode SpawnNode(const std::string& name, int workers, size_t interactive_cap,
-                      size_t batch_cap) {
-  SpawnedNode node;
-  const std::string binary = NodeBinaryPath();
-  if (binary.empty() || access(binary.c_str(), X_OK) != 0) return node;
-
-  int fds[2];
-  if (pipe(fds) != 0) return node;
-  const pid_t pid = fork();
-  if (pid < 0) {
-    close(fds[0]);
-    close(fds[1]);
-    return node;
-  }
-  if (pid == 0) {
-    dup2(fds[1], STDOUT_FILENO);
-    close(fds[0]);
-    close(fds[1]);
-    const std::string name_flag = "--name=" + name;
-    const std::string workers_flag = "--workers=" + std::to_string(workers);
-    const std::string icap_flag = "--interactive-cap=" + std::to_string(interactive_cap);
-    const std::string bcap_flag = "--batch-cap=" + std::to_string(batch_cap);
-    const char* argv[] = {binary.c_str(),      name_flag.c_str(), "--port=0",
-                          workers_flag.c_str(), icap_flag.c_str(), bcap_flag.c_str(),
-                          nullptr};
-    execv(binary.c_str(), const_cast<char**>(argv));
-    _exit(127);
-  }
-  close(fds[1]);
-  node.pid = pid;
-
-  std::string line;
-  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(15);
-  while (std::chrono::steady_clock::now() < give_up) {
-    pollfd pfd{fds[0], POLLIN, 0};
-    if (poll(&pfd, 1, 200) <= 0) continue;
-    char buffer[128];
-    const ssize_t got = read(fds[0], buffer, sizeof(buffer));
-    if (got <= 0) break;
-    line.append(buffer, static_cast<size_t>(got));
-    const size_t newline = line.find('\n');
-    if (newline != std::string::npos) {
-      unsigned port = 0;
-      if (sscanf(line.c_str(), "LISTENING %u", &port) == 1) {
-        node.port = static_cast<uint16_t>(port);
-      }
-      break;
-    }
-  }
-  close(fds[0]);
-  if (node.port == 0) node.Kill();
-  return node;
-}
 
 // --------------------------------------------------------------- clients
 
@@ -379,10 +296,10 @@ int main() {
       per_conn));
 
   // Engine processes first: their ports seed the cluster config.
-  std::vector<SpawnedNode> nodes(kNodes);
+  std::vector<dbench::SpawnedNode> nodes(kNodes);
   for (int i = 0; i < kNodes; ++i) {
-    nodes[static_cast<size_t>(i)] = SpawnNode("node" + std::to_string(i), kNodeWorkers,
-                                              kNodeInteractiveCap, kNodeBatchCap);
+    nodes[static_cast<size_t>(i)] = dbench::SpawnNode(
+        "node" + std::to_string(i), kNodeWorkers, kNodeInteractiveCap, kNodeBatchCap);
     if (!nodes[static_cast<size_t>(i)].ok()) {
       dbench::PrintNote("SKIPPED: cannot spawn dandelion_node (binary or loopback missing)");
       for (auto& node : nodes) {

@@ -11,6 +11,8 @@
 namespace dandelion {
 
 namespace {
+// Router-side timeout for remote invokes carrying no deadline.
+constexpr dbase::Micros kRemoteInvokeTimeoutUs = 120 * dbase::kMicrosPerSecond;
 // Grace added to the router-side timeout when the request carries a
 // deadline, so the serving node's own deadline machinery (which produces
 // the richer report) wins the race against the client timer.
@@ -19,30 +21,33 @@ constexpr dbase::Micros kRemoteDeadlineGraceUs = 100 * dbase::kMicrosPerMilli;
 constexpr dbase::Micros kGossipTimeoutCapUs = 500 * dbase::kMicrosPerMilli;
 }  // namespace
 
+struct Cluster::Route {
+  InvocationRequest request;
+  RoutedCallback callback;
+  int attempts = 0;  // Placements before the current one.
+  std::set<int> tried;
+  bool shed_rerouted = false;
+};
+
 Cluster::Cluster(Config config)
-    : config_(std::move(config)),
-      remote_retry_(config_.remote_retry),
-      membership_(config_.membership) {
+    : config_(std::move(config)), membership_(config_.membership) {
   // With remote nodes configured a router-only cluster (0 locals) is
   // legitimate; a fully empty cluster is not.
-  const int locals = config_.remote_nodes.empty() ? std::max(1, config_.num_nodes)
-                                                  : std::max(0, config_.num_nodes);
-  nodes_.reserve(static_cast<size_t>(locals));
-  for (int n = 0; n < locals; ++n) {
-    nodes_.push_back(std::make_unique<Platform>(config_.node_config));
-    served_.push_back(std::make_unique<std::atomic<uint64_t>>(0));
-    inflight_.push_back(std::make_unique<std::atomic<int64_t>>(0));
-  }
-  // Every local node's mesh can carry remote-registered hosts over the
-  // node wire — the same socket path invokes ride.
-  for (auto& node : nodes_) {
-    node->mesh().SetRemoteTransport(
+  num_locals_ = config_.remote_nodes.empty() ? std::max(1, config_.num_nodes)
+                                             : std::max(0, config_.num_nodes);
+  for (int n = 0; n < num_locals_; ++n) {
+    auto node = std::make_unique<Node>();
+    node->name = "local-" + std::to_string(n);
+    node->platform = std::make_unique<Platform>(config_.node_config);
+    // Every local node's mesh can carry remote-registered hosts over the
+    // node wire — the same socket path invokes ride.
+    node->platform->mesh().SetRemoteTransport(
         [this](const std::string& peer, const dhttp::SanitizedRequest& request)
             -> dbase::Result<dhttp::MeshCallResult> {
           dnet::NodeClient* client = nullptr;
           {
-            std::lock_guard<std::mutex> lock(remotes_mu_);
-            client = client_started_ ? client_.get() : nullptr;
+            std::lock_guard<std::mutex> lock(nodes_mu_);
+            client = client_.get();
           }
           if (client == nullptr) {
             return dbase::FailedPrecondition("cluster has no remote nodes");
@@ -56,6 +61,7 @@ Cluster::Cluster(Config config)
           result.latency_us = reply.latency_us;
           return result;
         });
+    nodes_.push_back(std::move(node));
   }
   for (const RemoteNode& remote : config_.remote_nodes) {
     (void)AddRemoteNode(remote.name, remote.port);
@@ -65,16 +71,14 @@ Cluster::Cluster(Config config)
 Cluster::~Cluster() { Shutdown(); }
 
 void Cluster::EnsureClientStarted() {
-  // Caller holds remotes_mu_.
-  if (client_started_) {
+  // Caller holds nodes_mu_.
+  if (client_ != nullptr) {
     return;
   }
   dnet::NodeClient::Config client_config;
   client_config.node_name = config_.router_name;
-  client_config.limits = config_.limits;
   client_ = std::make_unique<dnet::NodeClient>(client_config);
   client_->Start();
-  client_started_ = true;
   if (config_.gossip_interval_us > 0) {
     gossip_thread_ = std::make_unique<dbase::JoiningThread>("cluster-gossip", [this] {
       std::unique_lock<std::mutex> lock(gossip_mu_);
@@ -92,84 +96,69 @@ void Cluster::EnsureClientStarted() {
 }
 
 dbase::Status Cluster::AddRemoteNode(const std::string& name, uint16_t port) {
-  std::lock_guard<std::mutex> lock(remotes_mu_);
-  for (auto& slot : remotes_) {
-    if (slot->name != name) {
+  std::lock_guard<std::mutex> lock(nodes_mu_);
+  EnsureClientStarted();
+  for (auto& node : nodes_) {
+    if (node->name != name) {
       continue;
     }
-    std::lock_guard<std::mutex> slot_lock(slot->mu);
-    if (slot->state != dpolicy::MemberState::kLeft) {
-      return dbase::AlreadyExists("remote node already joined: " + name);
+    std::lock_guard<std::mutex> node_lock(node->mu);
+    if (node->state != dpolicy::MemberState::kLeft) {
+      return dbase::AlreadyExists("node already joined: " + name);
     }
-    // Administrative rejoin of an evicted/removed node (possibly on a new
-    // port after a restart).
-    slot->port = port;
-    slot->state = dpolicy::MemberState::kActive;
-    slot->last_gossip_us = 0;
-    EnsureClientStarted();
+    // Administrative rejoin of an evicted node (possibly on a new port
+    // after a restart).
+    node->state = dpolicy::MemberState::kActive;
+    node->last_gossip_us = 0;
     client_->RemovePeer(name);
     client_->AddPeer(name, port);
     return dbase::OkStatus();
   }
-  EnsureClientStarted();
   client_->AddPeer(name, port);
-  auto slot = std::make_unique<RemoteSlot>();
-  slot->name = name;
-  slot->port = port;
-  remotes_.push_back(std::move(slot));
+  auto node = std::make_unique<Node>();
+  node->name = name;
+  nodes_.push_back(std::move(node));
   return dbase::OkStatus();
 }
 
-void Cluster::RemoveRemoteNode(const std::string& name) {
-  std::lock_guard<std::mutex> lock(remotes_mu_);
-  for (auto& slot : remotes_) {
-    if (slot->name != name) {
-      continue;
-    }
-    {
-      std::lock_guard<std::mutex> slot_lock(slot->mu);
-      slot->state = dpolicy::MemberState::kLeft;
-    }
-    // Administrative leave really disconnects (unlike staleness eviction,
-    // which keeps probing so the node can rejoin when it recovers).
-    if (client_started_) {
-      client_->RemovePeer(name);
-    }
-    return;
-  }
+Platform& Cluster::node(int index) {
+  std::lock_guard<std::mutex> lock(nodes_mu_);
+  return *nodes_[static_cast<size_t>(index)]->platform;
 }
 
 int Cluster::total_nodes() const {
-  std::lock_guard<std::mutex> lock(remotes_mu_);
-  return num_nodes() + static_cast<int>(remotes_.size());
+  std::lock_guard<std::mutex> lock(nodes_mu_);
+  return static_cast<int>(nodes_.size());
 }
 
-Cluster::RemoteSlot* Cluster::remote_slot(int index) const {
-  std::lock_guard<std::mutex> lock(remotes_mu_);
-  const int r = index - num_nodes();
-  if (r < 0 || r >= static_cast<int>(remotes_.size())) {
-    return nullptr;
+std::vector<Platform*> Cluster::Locals() const {
+  std::lock_guard<std::mutex> lock(nodes_mu_);
+  std::vector<Platform*> locals;
+  for (const auto& node : nodes_) {
+    if (node->platform != nullptr) {
+      locals.push_back(node->platform.get());
+    }
   }
-  return remotes_[static_cast<size_t>(r)].get();
+  return locals;
 }
 
 dbase::Status Cluster::RegisterFunction(const dfunc::FunctionSpec& spec) {
-  for (auto& node : nodes_) {
-    RETURN_IF_ERROR(node->RegisterFunction(spec));
+  for (Platform* platform : Locals()) {
+    RETURN_IF_ERROR(platform->RegisterFunction(spec));
   }
   return dbase::OkStatus();
 }
 
 dbase::Status Cluster::RegisterCompositionDsl(std::string_view dsl_source) {
-  for (auto& node : nodes_) {
-    RETURN_IF_ERROR(node->RegisterCompositionDsl(dsl_source));
+  for (Platform* platform : Locals()) {
+    RETURN_IF_ERROR(platform->RegisterCompositionDsl(dsl_source));
   }
   return dbase::OkStatus();
 }
 
 void Cluster::ForEachNode(const std::function<void(Platform&)>& setup) {
-  for (auto& node : nodes_) {
-    setup(*node);
+  for (Platform* platform : Locals()) {
+    setup(*platform);
   }
 }
 
@@ -184,19 +173,9 @@ int Cluster::AffinityFor(const std::string& composition) const {
   return it == affinity_.end() ? -1 : it->second;
 }
 
-bool Cluster::Eligible(int index, const std::set<int>& exclude, bool allow_suspect) const {
-  if (exclude.count(index) > 0) {
-    return false;
-  }
-  if (index < num_nodes()) {
-    return true;
-  }
-  RemoteSlot* slot = remote_slot(index);
-  if (slot == nullptr) {
-    return false;
-  }
-  std::lock_guard<std::mutex> lock(slot->mu);
-  switch (slot->state) {
+bool Cluster::Eligible(const Node& node, bool allow_suspect) {
+  std::lock_guard<std::mutex> lock(node.mu);
+  switch (node.state) {
     case dpolicy::MemberState::kActive:
       return true;
     case dpolicy::MemberState::kSuspect:
@@ -207,33 +186,31 @@ bool Cluster::Eligible(int index, const std::set<int>& exclude, bool allow_suspe
   return false;
 }
 
-double Cluster::NodeLoad(int index) const {
-  if (index < num_nodes()) {
-    const auto& node = nodes_[static_cast<size_t>(index)];
-    const EngineStats stats = node->engine_stats();
-    const double queued =
-        static_cast<double>(stats.compute_queue_len + stats.comm_queue_len);
-    const double inflight = static_cast<double>(
-        inflight_[static_cast<size_t>(index)]->load(std::memory_order_relaxed));
-    return queued + inflight;
-  }
-  RemoteSlot* slot = remote_slot(index);
-  if (slot == nullptr) {
-    return std::numeric_limits<double>::max();
-  }
+bool Cluster::Saturated(const Node& node) {
+  const uint64_t router_inflight =
+      static_cast<uint64_t>(std::max<int64_t>(0, node.inflight.load(std::memory_order_relaxed)));
+  std::lock_guard<std::mutex> lock(node.mu);
+  return node.status.admission_cap > 0 &&
+         node.status.inflight + router_inflight >= node.status.admission_cap;
+}
+
+double Cluster::Load(const Node& node) const {
   const double router_inflight =
-      static_cast<double>(slot->inflight.load(std::memory_order_relaxed));
-  std::lock_guard<std::mutex> lock(slot->mu);
-  if (slot->last_gossip_us == 0) {
+      static_cast<double>(node.inflight.load(std::memory_order_relaxed));
+  if (node.platform != nullptr) {
+    const EngineStats stats = node.platform->engine_stats();
+    return router_inflight + static_cast<double>(stats.compute_queue_len + stats.comm_queue_len);
+  }
+  std::lock_guard<std::mutex> lock(node.mu);
+  if (node.last_gossip_us == 0) {
     // Never heard: a fresh joiner is presumed idle — only what we have in
     // flight toward it counts.
     return router_inflight;
   }
-  const dpolicy::ElasticitySignals& s = slot->status.signals;
-  double load = router_inflight + static_cast<double>(slot->status.inflight) +
+  const dpolicy::ElasticitySignals& s = node.status.signals;
+  double load = router_inflight + static_cast<double>(node.status.inflight) +
                 static_cast<double>(s.compute_backlog + s.comm_backlog);
-  const dbase::Micros age =
-      dbase::MonotonicClock::Get()->NowMicros() - slot->last_gossip_us;
+  const dbase::Micros age = dbase::MonotonicClock::Get()->NowMicros() - node.last_gossip_us;
   if (age > config_.membership.suspect_after_us) {
     // Stale signals: rank below every fresh node without hard-excluding.
     load += 1e6;
@@ -241,30 +218,24 @@ double Cluster::NodeLoad(int index) const {
   return load;
 }
 
-int Cluster::PickNode(const InvocationRequest& request, const std::set<int>& exclude) {
-  const int total = total_nodes();
-  if (total == 0) {
-    return -1;
-  }
+Cluster::Node* Cluster::PickNode(const InvocationRequest& request, const std::set<int>& exclude,
+                                 int* index) {
+  std::lock_guard<std::mutex> lock(nodes_mu_);
+  const int total = static_cast<int>(nodes_.size());
+  const auto eligible = [&](int n, bool allow_suspect) {
+    return exclude.count(n) == 0 && Eligible(*nodes_[static_cast<size_t>(n)], allow_suspect);
+  };
+  const auto pick = [&](int n) {
+    *index = n;
+    return nodes_[static_cast<size_t>(n)].get();
+  };
   // Locality first: the sticky node wins while it is healthy and below its
   // gossiped admission cap; otherwise fall through to the load fallback.
   if (config_.policy == LoadBalancePolicy::kLocality) {
     const int affine = AffinityFor(request.composition);
-    if (affine >= 0 && affine < total && Eligible(affine, exclude, false)) {
-      bool saturated = false;
-      if (affine >= num_nodes()) {
-        if (RemoteSlot* slot = remote_slot(affine); slot != nullptr) {
-          std::lock_guard<std::mutex> lock(slot->mu);
-          saturated = slot->status.admission_cap > 0 &&
-                      slot->status.inflight +
-                              static_cast<uint64_t>(std::max<int64_t>(
-                                  0, slot->inflight.load(std::memory_order_relaxed))) >=
-                          slot->status.admission_cap;
-        }
-      }
-      if (!saturated) {
-        return affine;
-      }
+    if (affine >= 0 && affine < total && eligible(affine, false) &&
+        !Saturated(*nodes_[static_cast<size_t>(affine)])) {
+      return pick(affine);
     }
   }
   // Batch work tolerates queueing: under the load-aware policies it still
@@ -278,8 +249,8 @@ int Cluster::PickNode(const InvocationRequest& request, const std::set<int>& exc
       for (int i = 0; i < total; ++i) {
         const int candidate = static_cast<int>((start + static_cast<uint64_t>(i)) %
                                                static_cast<uint64_t>(total));
-        if (Eligible(candidate, exclude, allow_suspect)) {
-          return candidate;
+        if (eligible(candidate, allow_suspect)) {
+          return pick(candidate);
         }
       }
       continue;
@@ -287,63 +258,29 @@ int Cluster::PickNode(const InvocationRequest& request, const std::set<int>& exc
     int best = -1;
     double best_load = std::numeric_limits<double>::max();
     for (int n = 0; n < total; ++n) {
-      if (!Eligible(n, exclude, allow_suspect)) {
+      if (!eligible(n, allow_suspect)) {
         continue;
       }
-      const double load = NodeLoad(n);
+      const double load = Load(*nodes_[static_cast<size_t>(n)]);
       if (load < best_load) {
         best_load = load;
         best = n;
       }
     }
     if (best >= 0) {
-      return best;
+      return pick(best);
     }
   }
-  return -1;
+  return nullptr;
 }
 
-void Cluster::Dispatch(InvocationRequest request, RoutedCallback callback, int attempts,
-                       std::set<int> tried, bool shed_rerouted,
-                       InvocationHandle* first_handle) {
-  const int index = PickNode(request, tried);
-  if (index < 0) {
-    no_eligible_node_.fetch_add(1, std::memory_order_relaxed);
-    callback(dbase::Unavailable("no eligible cluster node for '" + request.composition + "'"),
-             -1, attempts + 1);
-    return;
-  }
-  if (index < num_nodes()) {
-    served_[static_cast<size_t>(index)]->fetch_add(1, std::memory_order_relaxed);
-    inflight_[static_cast<size_t>(index)]->fetch_add(1, std::memory_order_relaxed);
-    NoteAffinity(request.composition, index);
-    InvocationHandle handle = nodes_[static_cast<size_t>(index)]->Submit(
-        std::move(request),
-        [this, index, attempts,
-         callback = std::move(callback)](dbase::Result<dfunc::DataSetList> result) {
-          inflight_[static_cast<size_t>(index)]->fetch_sub(1, std::memory_order_relaxed);
-          callback(std::move(result), index, attempts + 1);
+InvocationHandle Cluster::Launch(Node& node, const InvocationRequest& request,
+                                 std::function<void(Attempt)> done) {
+  if (node.platform != nullptr) {
+    return node.platform->Submit(
+        request, [done = std::move(done)](dbase::Result<dfunc::DataSetList> result) {
+          done({std::move(result)});
         });
-    if (first_handle != nullptr) {
-      *first_handle = handle;
-    }
-    return;
-  }
-  DispatchRemote(index, std::move(request), std::move(callback), attempts, std::move(tried),
-                 shed_rerouted);
-}
-
-void Cluster::DispatchRemote(int index, InvocationRequest request, RoutedCallback callback,
-                             int attempts, std::set<int> tried, bool shed_rerouted) {
-  RemoteSlot* slot = remote_slot(index);
-  dnet::NodeClient* client = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(remotes_mu_);
-    client = client_started_ ? client_.get() : nullptr;
-  }
-  if (slot == nullptr || client == nullptr) {
-    callback(dbase::Internal("remote slot vanished"), index, attempts + 1);
-    return;
   }
 
   dnet::WireInvoke wire;
@@ -354,78 +291,101 @@ void Cluster::DispatchRemote(int index, InvocationRequest request, RoutedCallbac
   wire.args = request.args;
   wire.priority = static_cast<uint8_t>(request.priority);
   wire.invocation_id = request.id;
-  dbase::Micros timeout = config_.remote_invoke_timeout_us;
+  dbase::Micros timeout = kRemoteInvokeTimeoutUs;
   if (request.deadline_us > 0) {
     const dbase::Micros now = dbase::MonotonicClock::Get()->NowMicros();
     const dbase::Micros remaining = request.deadline_us > now ? request.deadline_us - now : 1;
     wire.remaining_deadline_us = remaining;
     timeout = std::min(timeout, remaining + kRemoteDeadlineGraceUs);
   }
-
-  slot->inflight.fetch_add(1, std::memory_order_relaxed);
-  client->InvokeAsync(
-      slot->name, std::move(wire), timeout,
-      [this, index, slot, request = std::move(request), callback = std::move(callback), attempts,
-       tried = std::move(tried), shed_rerouted](dbase::Result<dnet::WireOutcome> raw) mutable {
-        slot->inflight.fetch_sub(1, std::memory_order_relaxed);
-        const bool interactive = request.priority != PriorityClass::kBatch;
-
+  // A remote node joined after the client started, and its record was
+  // read under nodes_mu_, so client_ is set and stays set.
+  client_->InvokeAsync(
+      node.name, std::move(wire), timeout,
+      [done = std::move(done)](dbase::Result<dnet::WireOutcome> raw) {
         if (!raw.ok()) {
-          // Transport-level failure. kUnavailable means the peer (or the
-          // connection to it) died mid-flight — FailureKind::kPeerLost,
-          // retry-safe because functions are pure. Everything else
-          // (deadline, shutdown) is the client's own doing and surfaces.
-          if (raw.status().code() == dbase::StatusCode::kUnavailable) {
-            dpolicy::RetryDecision decision;
-            {
-              std::lock_guard<std::mutex> lock(policy_mu_);
-              decision = remote_retry_.OnFailure(slot->name, dpolicy::FailureKind::kPeerLost,
-                                                 interactive, attempts,
-                                                 dbase::MonotonicClock::Get()->NowMicros());
-            }
-            {
-              std::lock_guard<std::mutex> slot_lock(slot->mu);
-              if (slot->state == dpolicy::MemberState::kActive) {
-                slot->state = dpolicy::MemberState::kSuspect;
-              }
-            }
-            if (decision.retry) {
-              reroutes_peer_lost_.fetch_add(1, std::memory_order_relaxed);
-              tried.insert(index);
-              Dispatch(std::move(request), std::move(callback), attempts + 1, std::move(tried),
-                       shed_rerouted, nullptr);
-              return;
-            }
-            reroute_denied_.fetch_add(1, std::memory_order_relaxed);
-          }
-          callback(raw.status(), index, attempts + 1);
+          // kUnavailable means the peer (or the connection to it) died
+          // mid-flight. Everything else (deadline, shutdown) is the
+          // client's own doing.
+          const bool lost = raw.status().code() == dbase::StatusCode::kUnavailable;
+          done({raw.status(), false, lost});
           return;
         }
-
         dnet::WireOutcome outcome = std::move(raw).value();
-        if (outcome.shed && !shed_rerouted) {
-          // 429-style admission shed: re-route once, then surface.
-          reroutes_shed_.fetch_add(1, std::memory_order_relaxed);
-          tried.insert(index);
-          Dispatch(std::move(request), std::move(callback), attempts + 1, std::move(tried),
-                   /*shed_rerouted=*/true, nullptr);
-          return;
-        }
         if (outcome.code == dbase::StatusCode::kOk) {
-          {
-            std::lock_guard<std::mutex> lock(policy_mu_);
-            remote_retry_.OnSuccess(slot->name);
-          }
-          slot->served.fetch_add(1, std::memory_order_relaxed);
-          NoteAffinity(request.composition, index);
-          callback(std::move(outcome.sets), index, attempts + 1);
+          done({std::move(outcome.sets)});
           return;
         }
-        // A failure the node itself reported: deterministic function
-        // failures (including jail kills, never retry-safe) and errors its
-        // own RetryPolicy already gave up on surface unchanged.
-        callback(dbase::Status(outcome.code, std::move(outcome.message)), index, attempts + 1);
+        done({dbase::Status(outcome.code, std::move(outcome.message)), outcome.shed});
       });
+  return InvocationHandle();
+}
+
+void Cluster::Dispatch(const std::shared_ptr<Route>& route, InvocationHandle* first_handle) {
+  int index = -1;
+  Node* node = PickNode(route->request, route->tried, &index);
+  if (node == nullptr) {
+    no_eligible_node_.fetch_add(1, std::memory_order_relaxed);
+    route->callback(
+        dbase::Unavailable("no eligible cluster node for '" + route->request.composition + "'"),
+        -1, route->attempts + 1);
+    return;
+  }
+  node->inflight.fetch_add(1, std::memory_order_relaxed);
+  InvocationHandle handle =
+      Launch(*node, route->request, [this, route, index, node](Attempt attempt) {
+        node->inflight.fetch_sub(1, std::memory_order_relaxed);
+        Settle(route, index, *node, std::move(attempt));
+      });
+  if (first_handle != nullptr) {
+    *first_handle = std::move(handle);
+  }
+}
+
+void Cluster::Settle(const std::shared_ptr<Route>& route, int index, Node& node,
+                     Attempt attempt) {
+  if (attempt.peer_lost) {
+    // FailureKind::kPeerLost: retry-safe because functions are pure.
+    dpolicy::RetryDecision decision;
+    {
+      std::lock_guard<std::mutex> lock(policy_mu_);
+      decision = remote_retry_.OnFailure(node.name, dpolicy::FailureKind::kPeerLost,
+                                         route->request.priority != PriorityClass::kBatch,
+                                         route->attempts,
+                                         dbase::MonotonicClock::Get()->NowMicros());
+    }
+    {
+      std::lock_guard<std::mutex> lock(node.mu);
+      if (node.state == dpolicy::MemberState::kActive) {
+        node.state = dpolicy::MemberState::kSuspect;
+      }
+    }
+    if (!decision.retry) {
+      reroute_denied_.fetch_add(1, std::memory_order_relaxed);
+      route->callback(std::move(attempt.result), index, route->attempts + 1);
+      return;
+    }
+    reroutes_peer_lost_.fetch_add(1, std::memory_order_relaxed);
+  } else if (attempt.shed && !route->shed_rerouted) {
+    // 429-style admission shed: re-route once, then surface.
+    reroutes_shed_.fetch_add(1, std::memory_order_relaxed);
+    route->shed_rerouted = true;
+  } else {
+    // The node's terminal answer. Deterministic function failures
+    // (including jail kills, never retry-safe) and errors the node's own
+    // RetryPolicy already gave up on surface unchanged.
+    if (attempt.result.ok()) {
+      std::lock_guard<std::mutex> lock(policy_mu_);
+      remote_retry_.OnSuccess(node.name);
+    }
+    node.served.fetch_add(1, std::memory_order_relaxed);
+    NoteAffinity(route->request.composition, index);
+    route->callback(std::move(attempt.result), index, route->attempts + 1);
+    return;
+  }
+  ++route->attempts;
+  route->tried.insert(index);
+  Dispatch(route, nullptr);
 }
 
 InvocationHandle Cluster::InvokeRouted(InvocationRequest request, RoutedCallback callback) {
@@ -434,8 +394,11 @@ InvocationHandle Cluster::InvokeRouted(InvocationRequest request, RoutedCallback
     // serving a re-sent invocation and the cancel path agree on identity.
     request.id = next_invocation_id_.fetch_add(1, std::memory_order_relaxed);
   }
+  auto route = std::make_shared<Route>();
+  route->request = std::move(request);
+  route->callback = std::move(callback);
   InvocationHandle handle;
-  Dispatch(std::move(request), std::move(callback), /*attempts=*/0, {}, false, &handle);
+  Dispatch(route, &handle);
   return handle;
 }
 
@@ -449,14 +412,6 @@ InvocationHandle Cluster::InvokeAsync(
                       });
 }
 
-void Cluster::InvokeAsync(const std::string& composition, dfunc::DataSetList args,
-                          std::function<void(dbase::Result<dfunc::DataSetList>, int)> callback) {
-  InvocationRequest request;
-  request.composition = composition;
-  request.args = std::move(args);
-  (void)InvokeAsync(std::move(request), std::move(callback));
-}
-
 Cluster::RoutedResult Cluster::Invoke(InvocationRequest request) {
   struct WaitState {
     std::mutex mu;
@@ -465,14 +420,16 @@ Cluster::RoutedResult Cluster::Invoke(InvocationRequest request) {
     RoutedResult routed;
   };
   auto state = std::make_shared<WaitState>();
-  // Deadline-aware wait with the same never-hang backstop as
-  // Dispatcher::Invoke: a lost callback surfaces as kDeadlineExceeded, it
-  // does not block the caller forever.
+  // Every placement ends in a callback — the serving node answers at the
+  // deadline, the wire's client timer shortly after — so this wait is a
+  // never-hang backstop: a lost callback surfaces as kDeadlineExceeded.
   constexpr dbase::Micros kBlockingWaitCapUs = 120 * dbase::kMicrosPerSecond;
-  const dbase::Micros now = dbase::MonotonicClock::Get()->NowMicros();
-  dbase::Micros wait_deadline = now + kBlockingWaitCapUs;
+  constexpr dbase::Micros kDeadlineGraceUs = 5 * dbase::kMicrosPerSecond;
+  dbase::Micros wait_us = kBlockingWaitCapUs;
   if (request.deadline_us > 0) {
-    wait_deadline = std::min(wait_deadline, request.deadline_us);
+    const dbase::Micros remaining =
+        request.deadline_us - dbase::MonotonicClock::Get()->NowMicros();
+    wait_us = std::min(wait_us, std::max<dbase::Micros>(remaining, 0) + kDeadlineGraceUs);
   }
   InvocationHandle handle = InvokeRouted(
       std::move(request),
@@ -486,65 +443,41 @@ Cluster::RoutedResult Cluster::Invoke(InvocationRequest request) {
         state->cv.notify_one();
       });
   std::unique_lock<std::mutex> lock(state->mu);
-  while (!state->done) {
-    const dbase::Micros remaining =
-        wait_deadline - dbase::MonotonicClock::Get()->NowMicros();
-    if (remaining <= 0) {
-      // The serving node's reaper owes us a terminal callback imminently;
-      // one bounded grace wait covers scheduling skew before giving up.
-      if (!state->cv.wait_for(lock, std::chrono::seconds(5), [&] { return state->done; })) {
-        lock.unlock();
-        handle.Cancel();
-        RoutedResult routed;
-        routed.result = dbase::DeadlineExceeded("routed invoke timed out");
-        return routed;
-      }
-      break;
-    }
-    state->cv.wait_for(lock, std::chrono::microseconds(remaining));
+  if (!state->cv.wait_for(lock, std::chrono::microseconds(wait_us),
+                          [&] { return state->done; })) {
+    lock.unlock();
+    handle.Cancel();
+    RoutedResult routed;
+    routed.result = dbase::DeadlineExceeded("routed invoke timed out");
+    return routed;
   }
   return std::move(state->routed);
 }
 
-Cluster::RoutedResult Cluster::Invoke(const std::string& composition,
-                                      dfunc::DataSetList args) {
-  InvocationRequest request;
-  request.composition = composition;
-  request.args = std::move(args);
-  return Invoke(std::move(request));
-}
-
 std::string Cluster::NodeName(int index) const {
-  if (index < 0) {
+  std::lock_guard<std::mutex> lock(nodes_mu_);
+  if (index < 0 || index >= static_cast<int>(nodes_.size())) {
     return "";
   }
-  if (index < num_nodes()) {
-    return "local-" + std::to_string(index);
-  }
-  RemoteSlot* slot = remote_slot(index);
-  return slot != nullptr ? slot->name : "";
+  return nodes_[static_cast<size_t>(index)]->name;
 }
 
 std::vector<uint64_t> Cluster::InvocationsPerNode() const {
+  std::lock_guard<std::mutex> lock(nodes_mu_);
   std::vector<uint64_t> counts;
-  counts.reserve(served_.size());
-  for (const auto& counter : served_) {
-    counts.push_back(counter->load(std::memory_order_relaxed));
-  }
-  std::lock_guard<std::mutex> lock(remotes_mu_);
-  for (const auto& slot : remotes_) {
-    counts.push_back(slot->served.load(std::memory_order_relaxed));
+  counts.reserve(nodes_.size());
+  for (const auto& node : nodes_) {
+    counts.push_back(node->served.load(std::memory_order_relaxed));
   }
   return counts;
 }
 
 std::vector<Cluster::CoreSplit> Cluster::CoreSplits() const {
   std::vector<CoreSplit> splits;
-  splits.reserve(nodes_.size());
-  for (const auto& node : nodes_) {
+  for (const Platform* platform : Locals()) {
     // One role scan per node (full EngineStats would lock every queue shard
     // just to read two ints); comm derived so the split sums to the pool.
-    const WorkerSet& workers = node->workers();
+    const WorkerSet& workers = platform->workers();
     const int compute = workers.compute_workers();
     splits.push_back({compute, workers.total_workers() - compute});
   }
@@ -552,17 +485,19 @@ std::vector<Cluster::CoreSplit> Cluster::CoreSplits() const {
 }
 
 void Cluster::GossipNow() {
-  std::vector<RemoteSlot*> slots;
+  // Gossip probes the wire peers; local nodes have nothing to report.
+  std::vector<std::pair<int, Node*>> remotes;
   dnet::NodeClient* client = nullptr;
   {
-    std::lock_guard<std::mutex> lock(remotes_mu_);
-    client = client_started_ ? client_.get() : nullptr;
-    slots.reserve(remotes_.size());
-    for (const auto& slot : remotes_) {
-      slots.push_back(slot.get());
+    std::lock_guard<std::mutex> lock(nodes_mu_);
+    client = client_.get();
+    for (size_t i = 0; i < nodes_.size(); ++i) {
+      if (nodes_[i]->platform == nullptr) {
+        remotes.emplace_back(static_cast<int>(i), nodes_[i].get());
+      }
     }
   }
-  if (client == nullptr || slots.empty()) {
+  if (client == nullptr || remotes.empty()) {
     return;
   }
   const dbase::Micros timeout =
@@ -571,41 +506,31 @@ void Cluster::GossipNow() {
           : kGossipTimeoutCapUs;
 
   std::vector<dpolicy::MemberSignals> signals;
-  signals.reserve(slots.size());
-  for (size_t i = 0; i < slots.size(); ++i) {
-    RemoteSlot* slot = slots[i];
-    bool probe = true;
-    {
-      std::lock_guard<std::mutex> slot_lock(slot->mu);
-      // Administratively removed nodes (disconnected peer) are skipped
-      // entirely; staleness-evicted ones keep getting probed so they can
-      // rejoin when they come back.
-      probe = !(slot->state == dpolicy::MemberState::kLeft && slot->last_gossip_us == 0);
-    }
-    dbase::Result<dnet::WireNodeStatus> status =
-        probe ? client->Gossip(slot->name, timeout)
-              : dbase::Result<dnet::WireNodeStatus>(dbase::Unavailable("removed"));
+  signals.reserve(remotes.size());
+  for (const auto& [index, node] : remotes) {
+    // Evicted nodes keep getting probed so they can rejoin when they come
+    // back.
+    dbase::Result<dnet::WireNodeStatus> status = client->Gossip(node->name, timeout);
+    std::vector<std::string> resident;
     dpolicy::MemberSignals member;
-    member.name = slot->name;
-    if (status.ok()) {
-      const dbase::Micros heard = dbase::MonotonicClock::Get()->NowMicros();
-      std::lock_guard<std::mutex> slot_lock(slot->mu);
-      slot->status = std::move(status).value();
-      slot->last_gossip_us = heard;
-      // Gossiped residency feeds locality routing: route a composition to
-      // the node that already holds its context/data.
-      const int global_index = num_nodes() + static_cast<int>(i);
-      for (const std::string& composition : slot->status.resident_compositions) {
-        NoteAffinityFromGossip(composition, global_index);
+    member.name = node->name;
+    {
+      std::lock_guard<std::mutex> lock(node->mu);
+      if (status.ok()) {
+        node->status = std::move(status).value();
+        node->last_gossip_us = dbase::MonotonicClock::Get()->NowMicros();
+        resident = node->status.resident_compositions;
+      }
+      member.last_heard_us = node->last_gossip_us;
+      if (node->status.admission_cap > 0) {
+        member.utilization = static_cast<double>(node->status.inflight) /
+                             static_cast<double>(node->status.admission_cap);
       }
     }
-    {
-      std::lock_guard<std::mutex> slot_lock(slot->mu);
-      member.last_heard_us = slot->last_gossip_us;
-      if (slot->status.admission_cap > 0) {
-        member.utilization = static_cast<double>(slot->status.inflight) /
-                             static_cast<double>(slot->status.admission_cap);
-      }
+    // Gossiped residency feeds locality routing: route a composition to
+    // the node that already holds its context/data.
+    for (const std::string& composition : resident) {
+      NoteAffinity(composition, index);
     }
     signals.push_back(std::move(member));
   }
@@ -619,33 +544,17 @@ void Cluster::GossipNow() {
   gossip_rounds_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void Cluster::NoteAffinityFromGossip(const std::string& composition, int index) {
-  // Slot mutex is held by the caller; only affinity_mu_ is taken here.
-  std::lock_guard<std::mutex> lock(affinity_mu_);
-  affinity_[composition] = index;
-}
-
 void Cluster::ApplyMembership(const dpolicy::MembershipDecision& decision) {
+  // Scale hints are only counted (membership stats); no node is drained.
+  std::lock_guard<std::mutex> lock(nodes_mu_);
   for (const dpolicy::MemberTransition& transition : decision.transitions) {
-    RemoteSlot* found = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(remotes_mu_);
-      for (const auto& slot : remotes_) {
-        if (slot->name == transition.name) {
-          found = slot.get();
-          break;
-        }
+    for (const auto& node : nodes_) {
+      if (node->name == transition.name) {
+        std::lock_guard<std::mutex> node_lock(node->mu);
+        node->state = transition.to;
+        break;
       }
     }
-    if (found == nullptr) {
-      continue;
-    }
-    std::lock_guard<std::mutex> slot_lock(found->mu);
-    found->state = transition.to;
-  }
-  if (config_.apply_scale_in && decision.desired_nodes_delta < 0 &&
-      !decision.drain_candidate.empty()) {
-    RemoveRemoteNode(decision.drain_candidate);
   }
 }
 
@@ -656,52 +565,39 @@ Cluster::ClusterStats Cluster::Stats() const {
   stats.reroute_denied = reroute_denied_.load(std::memory_order_relaxed);
   stats.no_eligible_node = no_eligible_node_.load(std::memory_order_relaxed);
   stats.gossip_rounds = gossip_rounds_.load(std::memory_order_relaxed);
-
-  for (int n = 0; n < num_nodes(); ++n) {
-    PeerStats peer;
-    peer.name = "local-" + std::to_string(n);
-    peer.remote = false;
-    peer.state = "active";
-    peer.served = served_[static_cast<size_t>(n)]->load(std::memory_order_relaxed);
-    peer.inflight = inflight_[static_cast<size_t>(n)]->load(std::memory_order_relaxed);
-    stats.peers.push_back(std::move(peer));
-  }
-
-  std::vector<dnet::NodeClient::PeerSnapshot> wire;
   {
-    std::lock_guard<std::mutex> lock(remotes_mu_);
-    if (client_started_) {
-      wire = client_->SnapshotPeers();
-    }
+    std::lock_guard<std::mutex> lock(nodes_mu_);
+    const std::vector<dnet::NodeClient::PeerSnapshot> wire =
+        client_ != nullptr ? client_->SnapshotPeers()
+                           : std::vector<dnet::NodeClient::PeerSnapshot>{};
     const dbase::Micros now = dbase::MonotonicClock::Get()->NowMicros();
-    for (const auto& slot : remotes_) {
+    for (const auto& node : nodes_) {
       PeerStats peer;
-      peer.name = slot->name;
-      peer.remote = true;
-      peer.served = slot->served.load(std::memory_order_relaxed);
-      peer.inflight = slot->inflight.load(std::memory_order_relaxed);
+      peer.name = node->name;
+      peer.remote = node->platform == nullptr;
+      peer.served = node->served.load(std::memory_order_relaxed);
+      peer.inflight = node->inflight.load(std::memory_order_relaxed);
       {
-        std::lock_guard<std::mutex> slot_lock(slot->mu);
-        peer.state = dpolicy::MemberStateName(slot->state);
+        std::lock_guard<std::mutex> node_lock(node->mu);
+        peer.state = dpolicy::MemberStateName(node->state);
         peer.gossip_age_us =
-            slot->last_gossip_us > 0 ? static_cast<int64_t>(now - slot->last_gossip_us) : -1;
-        peer.remote_inflight = slot->status.inflight;
-        peer.remote_admission_cap = slot->status.admission_cap;
-        if (slot->status.admission_cap > 0) {
-          peer.utilization = static_cast<double>(slot->status.inflight) /
-                             static_cast<double>(slot->status.admission_cap);
+            node->last_gossip_us > 0 ? static_cast<int64_t>(now - node->last_gossip_us) : -1;
+        peer.remote_inflight = node->status.inflight;
+        peer.remote_admission_cap = node->status.admission_cap;
+        if (node->status.admission_cap > 0) {
+          peer.utilization = static_cast<double>(node->status.inflight) /
+                             static_cast<double>(node->status.admission_cap);
         }
       }
       for (const auto& snapshot : wire) {
-        if (snapshot.name != slot->name) {
-          continue;
+        if (peer.remote && snapshot.name == node->name) {
+          peer.invokes_sent = snapshot.invokes_sent;
+          peer.sheds_received = snapshot.sheds_received;
+          peer.peer_lost_failures = snapshot.peer_lost_failures;
+          peer.bytes_sent = snapshot.bytes_sent;
+          peer.bytes_received = snapshot.bytes_received;
+          break;
         }
-        peer.invokes_sent = snapshot.invokes_sent;
-        peer.sheds_received = snapshot.sheds_received;
-        peer.peer_lost_failures = snapshot.peer_lost_failures;
-        peer.bytes_sent = snapshot.bytes_sent;
-        peer.bytes_received = snapshot.bytes_received;
-        break;
       }
       stats.peers.push_back(std::move(peer));
     }
@@ -725,13 +621,13 @@ void Cluster::Shutdown() {
   gossip_cv_.notify_all();
   gossip_thread_.reset();
   {
-    std::lock_guard<std::mutex> lock(remotes_mu_);
-    if (client_started_) {
+    std::lock_guard<std::mutex> lock(nodes_mu_);
+    if (client_ != nullptr) {
       client_->Stop();
     }
   }
-  for (auto& node : nodes_) {
-    node->Shutdown();
+  for (Platform* platform : Locals()) {
+    platform->Shutdown();
   }
 }
 

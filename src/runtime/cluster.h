@@ -2,29 +2,35 @@
 // balances composition invocations across nodes. We extended Dirigent to
 // support Dandelion worker nodes."
 //
-// Two node flavors live behind one Invoke/InvokeAsync API:
-//
-//   - local nodes: N in-process Platform instances (the single-process
-//     stand-in the earlier PRs built everything on), and
-//   - remote nodes: engine processes reached over the dnet wire (ROADMAP
-//     "Distributed data plane") through one connection-pooling NodeClient.
+// Every node is one record in one list: first the N in-process nodes, then
+// the remote engine processes in join order. A record differs only in its
+// transport — an owned Platform, or a peer of the connection-pooling
+// NodeClient reached over the dnet wire (ROADMAP "Distributed data
+// plane"). Routing, admission, re-routing and accounting never look at the
+// transport; only "launch on this node" and "read this node's load" do.
 //
 // Routing is locality-aware under LoadBalancePolicy::kLocality: a
-// composition goes to the node that served it most recently (locally
-// observed, plus the resident-composition lists remote nodes gossip),
-// falling back to kLeastLoaded when the sticky node is saturated, suspect
-// or gone. Remote load is read from gossiped ElasticitySignals.
+// composition goes to the node that served it most recently (plus the
+// resident-composition lists remote nodes gossip), falling back to
+// kLeastLoaded when the sticky node is saturated, suspect or gone. Remote
+// load is read from gossiped ElasticitySignals.
 //
-// Cross-node shedding: a peer that responds 429-style (kUnavailable with
+// Served rule: a node has served an invocation when the router surfaces
+// the outcome of its launch there — a result or an error, including a
+// second shed — instead of re-routing it. Affinity is noted at that same
+// point. A peer lost mid-flight returned no answer and counts for neither.
+//
+// Cross-node shedding: a node that responds 429-style (kUnavailable with
 // the shed frame flag) gets the invocation re-routed once to another node
-// before the error surfaces. Remote transport failures map into the PR 8
-// failure taxonomy as FailureKind::kPeerLost — retry-safe, because
-// Dandelion functions are pure — and are absorbed by a router-side
-// RetryPolicy (breaker keyed by node) that re-routes to surviving nodes;
-// remote jail kills and other deterministic function failures surface
-// unchanged. Node join/leave is policy-driven: a gossip loop feeds
-// dpolicy::MembershipPolicy, which suspects stale peers, evicts dead ones,
-// re-admits rejoiners, and emits fleet scale hints.
+// before the error surfaces. Transport failures map into the PR 8 failure
+// taxonomy as FailureKind::kPeerLost — retry-safe, because Dandelion
+// functions are pure — and are absorbed by a router-side RetryPolicy
+// (breaker keyed by node) that re-routes to surviving nodes; jail kills
+// and other deterministic function failures surface unchanged. A local
+// node never sheds and never loses its peer. Node join/leave is
+// policy-driven: a gossip loop feeds dpolicy::MembershipPolicy, which
+// suspects stale peers, evicts dead ones, re-admits rejoiners, and counts
+// fleet scale hints.
 #ifndef SRC_RUNTIME_CLUSTER_H_
 #define SRC_RUNTIME_CLUSTER_H_
 
@@ -74,18 +80,10 @@ class Cluster {
     // Engine processes to dial over the dnet wire (loopback ports).
     std::vector<RemoteNode> remote_nodes;
     std::string router_name = "router";
-    dnet::FrameLimits limits;
-    // Backstop timeout for remote invokes carrying no deadline.
-    dbase::Micros remote_invoke_timeout_us = 120 * dbase::kMicrosPerSecond;
     // Gossip cadence for remote signals + membership; 0 disables the
     // background loop (tests drive GossipNow() by hand).
     dbase::Micros gossip_interval_us = 200 * dbase::kMicrosPerMilli;
     dpolicy::MembershipOptions membership;
-    // Router-side absorption of kPeerLost (breakers keyed by node name).
-    dpolicy::RetryOptions remote_retry;
-    // When the membership policy emits a scale-in hint, actually drain
-    // (remove) the nominated node instead of just counting the hint.
-    bool apply_scale_in = false;
   };
 
   explicit Cluster(Config config);
@@ -94,18 +92,18 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  // Local (in-process) nodes.
-  int num_nodes() const { return static_cast<int>(nodes_.size()); }
-  Platform& node(int index) { return *nodes_[static_cast<size_t>(index)]; }
-  // Locals + remote nodes ever added (remote slots persist through
+  // In-process nodes: indices [0, num_nodes()).
+  int num_nodes() const { return num_locals_; }
+  Platform& node(int index);
+  // Every node ever added, local or remote (records persist through
   // eviction so node indices stay stable).
   int total_nodes() const;
 
-  // Dynamic membership: join a running engine process / drain one. Join
-  // makes the node routable immediately; the membership policy evicts it
-  // if it never answers gossip.
+  // Dynamic membership: join a running engine process, or re-admit an
+  // evicted one (possibly on a new port). Join makes the node routable
+  // immediately; the membership policy evicts it if it never answers
+  // gossip.
   dbase::Status AddRemoteNode(const std::string& name, uint16_t port);
-  void RemoveRemoteNode(const std::string& name);
 
   // Registration is cluster-wide for local nodes (a node can only serve
   // what it has registered); remote nodes register their own functions at
@@ -138,18 +136,14 @@ class Cluster {
   // placement can consider the request class (under kLeastLoaded,
   // interactive requests pay the load scan while batch spreads
   // round-robin — backlog smoothing is enough for work that tolerates
-  // queueing).
+  // queueing). A remote invoke returns an empty handle: it cannot be
+  // cancelled yet.
   RoutedResult Invoke(InvocationRequest request);
   InvocationHandle InvokeAsync(
       InvocationRequest request,
       std::function<void(dbase::Result<dfunc::DataSetList>, int node)> callback);
 
-  // Legacy shims over the request API.
-  RoutedResult Invoke(const std::string& composition, dfunc::DataSetList args);
-  void InvokeAsync(const std::string& composition, dfunc::DataSetList args,
-                   std::function<void(dbase::Result<dfunc::DataSetList>, int node)> callback);
-
-  // Per-node served-invocation counters (locals then remotes).
+  // Per-node served counters (see the served rule above), in node order.
   std::vector<uint64_t> InvocationsPerNode() const;
 
   // Per-local-node compute/comm core split — cluster-wide view of what each
@@ -199,57 +193,67 @@ class Cluster {
   void Shutdown();
 
  private:
-  struct RemoteSlot {
+  // One routable node. Fields under `mu` change on gossip and membership
+  // transitions; a local node stays kActive and is never gossiped.
+  struct Node {
     std::string name;
-    uint16_t port = 0;
+    // Transport: the owned in-process engine, or null for the NodeClient
+    // peer called `name`.
+    std::unique_ptr<Platform> platform;
     std::atomic<uint64_t> served{0};
-    std::atomic<int64_t> inflight{0};
+    std::atomic<int64_t> inflight{0};  // Router-side, toward this node.
     mutable std::mutex mu;
-    dnet::WireNodeStatus status;              // Last gossip snapshot.
-    dbase::Micros last_gossip_us = 0;         // 0 = never heard.
     dpolicy::MemberState state = dpolicy::MemberState::kActive;
+    dnet::WireNodeStatus status;       // Last gossip snapshot.
+    dbase::Micros last_gossip_us = 0;  // 0 = never heard.
   };
+  // How one launch on one node ended.
+  struct Attempt {
+    dbase::Result<dfunc::DataSetList> result;
+    bool shed = false;       // The node refused at admission (429-style).
+    bool peer_lost = false;  // The transport lost the node mid-flight.
+  };
+  // One routed invocation across its placements.
+  struct Route;
 
-  // Node indices are global: [0, num_nodes) local, then remotes in join
-  // order. Remote slots are never erased (indices stay stable); evicted
-  // slots sit in MemberState::kLeft until their node gossips again.
   // Internal terminal callback: result, serving node index, total
   // placement attempts (so RoutedResult can report re-routes).
   using RoutedCallback =
       std::function<void(dbase::Result<dfunc::DataSetList>, int node, int attempts)>;
 
-  int PickNode(const InvocationRequest& request, const std::set<int>& exclude);
-  double NodeLoad(int index) const;
-  bool Eligible(int index, const std::set<int>& exclude, bool allow_suspect) const;
-  void Dispatch(InvocationRequest request, RoutedCallback callback, int attempts,
-                std::set<int> tried, bool shed_rerouted, InvocationHandle* first_handle);
-  void DispatchRemote(int index, InvocationRequest request, RoutedCallback callback,
-                      int attempts, std::set<int> tried, bool shed_rerouted);
+  // Picks an eligible node not in `exclude` (nullptr when none); its index
+  // goes to `*index`.
+  Node* PickNode(const InvocationRequest& request, const std::set<int>& exclude, int* index);
+  static bool Eligible(const Node& node, bool allow_suspect);
+  static bool Saturated(const Node& node);
+  // Per-transport: this node's current load, and one launch on it.
+  double Load(const Node& node) const;
+  InvocationHandle Launch(Node& node, const InvocationRequest& request,
+                          std::function<void(Attempt)> done);
+  void Dispatch(const std::shared_ptr<Route>& route, InvocationHandle* first_handle);
+  void Settle(const std::shared_ptr<Route>& route, int index, Node& node, Attempt attempt);
   InvocationHandle InvokeRouted(InvocationRequest request, RoutedCallback callback);
   void NoteAffinity(const std::string& composition, int index);
-  void NoteAffinityFromGossip(const std::string& composition, int index);
   int AffinityFor(const std::string& composition) const;
   std::string NodeName(int index) const;
-  RemoteSlot* remote_slot(int index) const;
+  // The in-process engines, in node order.
+  std::vector<Platform*> Locals() const;
   void EnsureClientStarted();
   void ApplyMembership(const dpolicy::MembershipDecision& decision);
 
   Config config_;
-  std::vector<std::unique_ptr<Platform>> nodes_;
-  std::vector<std::unique_ptr<std::atomic<uint64_t>>> served_;
-  std::vector<std::unique_ptr<std::atomic<int64_t>>> inflight_;
+  int num_locals_ = 0;
   std::atomic<uint64_t> round_robin_{0};
   std::atomic<uint64_t> next_invocation_id_{1};
 
-  // Remote side. remotes_ is append-only under remotes_mu_; slots are
-  // heap-allocated so raw pointers stay valid across growth.
-  mutable std::mutex remotes_mu_;
-  std::vector<std::unique_ptr<RemoteSlot>> remotes_;
+  // Locals first, then remotes in join order. Append-only under nodes_mu_;
+  // records are heap-allocated so raw pointers stay valid across growth.
+  mutable std::mutex nodes_mu_;
+  std::vector<std::unique_ptr<Node>> nodes_;
+  // Started with the first remote node; guarded by nodes_mu_.
   std::unique_ptr<dnet::NodeClient> client_;
-  bool client_started_ = false;  // Guarded by remotes_mu_.
 
-  // Composition → global node index (most recent server / gossiped
-  // residency).
+  // Composition → node index (most recent server / gossiped residency).
   mutable std::mutex affinity_mu_;
   std::unordered_map<std::string, int> affinity_;
 

@@ -259,22 +259,6 @@ dbase::Result<dfunc::DataSetList> Dispatcher::Invoke(InvocationRequest request) 
   return std::move(state->result);
 }
 
-void Dispatcher::InvokeAsync(const std::string& composition, dfunc::DataSetList args,
-                             ResultCallback callback) {
-  InvocationRequest request;
-  request.composition = composition;
-  request.args = std::move(args);
-  (void)Submit(std::move(request), std::move(callback));
-}
-
-dbase::Result<dfunc::DataSetList> Dispatcher::Invoke(const std::string& composition,
-                                                     dfunc::DataSetList args) {
-  InvocationRequest request;
-  request.composition = composition;
-  request.args = std::move(args);
-  return Invoke(std::move(request));
-}
-
 std::shared_ptr<Dispatcher::InvocationState> Dispatcher::InvokeGraphAsync(
     std::shared_ptr<const ddsl::CompositionGraph> graph, dfunc::DataSetList args, int depth,
     ResultCallback callback, std::shared_ptr<InvocationControl> control) {

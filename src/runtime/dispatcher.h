@@ -130,12 +130,6 @@ class Dispatcher {
   // the invocation is cancelled and kDeadlineExceeded returned.
   dbase::Result<dfunc::DataSetList> Invoke(InvocationRequest request);
 
-  // Legacy shims over the request API (no deadline, interactive class).
-  void InvokeAsync(const std::string& composition, dfunc::DataSetList args,
-                   ResultCallback callback);
-  dbase::Result<dfunc::DataSetList> Invoke(const std::string& composition,
-                                           dfunc::DataSetList args);
-
   DispatcherStats Stats() const;
   // Per-function circuit-breaker states (statz's `breaker` section).
   std::vector<dpolicy::BreakerSnapshot> Breakers() const;

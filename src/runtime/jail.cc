@@ -74,18 +74,28 @@ int InstallSyscallJail(const JailOptions& options) {
   //   [plain-allowed syscalls: JEQ -> ALLOW]
   //   [read: fd must be the go-pipe]
   //   [write: fd must be stderr]
-  //   [mmap: must be MAP_ANONYMOUS (no file-backed mappings)]
+  //   [mmap: must be MAP_ANONYMOUS (no file-backed mappings), no PROT_EXEC]
+  //   [mprotect: no PROT_EXEC]
   //   [default: KILL_PROCESS]
   //
   // The allowlist is the *completion set* of a pure Dandelion function:
   // its outcome channel is the MAP_SHARED context (plain stores, no
   // syscall), so beyond memory management, futex (malloc/stdlib internals),
   // clock reads, scheduling yields, and exit, nothing is needed.
-  sock_filter filter[64];
+  constexpr int kCapacity = 64;
+  sock_filter filter[kCapacity];
   int n = 0;
-  auto stmt = [&](uint16_t code, uint32_t k) { filter[n++] = BPF_STMT(code, k); };
+  bool overflow = false;
+  auto emit = [&](sock_filter instruction) {
+    if (n == kCapacity) {
+      overflow = true;
+      return;
+    }
+    filter[n++] = instruction;
+  };
+  auto stmt = [&](uint16_t code, uint32_t k) { emit(BPF_STMT(code, k)); };
   auto jump = [&](uint16_t code, uint32_t k, uint8_t jt, uint8_t jf) {
-    filter[n++] = BPF_JUMP(code, k, jt, jf);
+    emit(BPF_JUMP(code, k, jt, jf));
   };
   auto allow_if_nr = [&](long nr) {
     // if (nr == k) return ALLOW;
@@ -137,15 +147,29 @@ int InstallSyscallJail(const JailOptions& options) {
   stmt(BPF_RET | BPF_K, SECCOMP_RET_ALLOW);
   stmt(BPF_LD | BPF_W | BPF_ABS, kNrOffset);
 
-  // mmap: anonymous memory only — a function may grow its heap, not map
-  // files. flags is args[3]; MAP_ANONYMOUS fits in the low word.
-  jump(BPF_JMP | BPF_JEQ | BPF_K, SYS_mmap, 0, 3);
+  // mmap: anonymous, non-executable memory only — a function may grow its
+  // heap, not map files or code. prot is args[2], flags args[3]; both fit
+  // in the low word.
+  jump(BPF_JMP | BPF_JEQ | BPF_K, SYS_mmap, 0, 5);
+  stmt(BPF_LD | BPF_W | BPF_ABS, kArgOffset(2));
+  jump(BPF_JMP | BPF_JSET | BPF_K, PROT_EXEC, 3, 0);
   stmt(BPF_LD | BPF_W | BPF_ABS, kArgOffset(3));
   jump(BPF_JMP | BPF_JSET | BPF_K, MAP_ANONYMOUS, 0, 1);
   stmt(BPF_RET | BPF_K, SECCOMP_RET_ALLOW);
   stmt(BPF_LD | BPF_W | BPF_ABS, kNrOffset);
 
+  // mprotect: glibc commits a non-main-thread malloc arena by flipping
+  // reserved PROT_NONE pages to read/write, and the engine worker that
+  // forks the child is such a thread. Making memory executable stays
+  // forbidden.
+  jump(BPF_JMP | BPF_JEQ | BPF_K, SYS_mprotect, 0, 3);
+  stmt(BPF_LD | BPF_W | BPF_ABS, kArgOffset(2));
+  jump(BPF_JMP | BPF_JSET | BPF_K, PROT_EXEC, 1, 0);
+  stmt(BPF_RET | BPF_K, SECCOMP_RET_ALLOW);
+  stmt(BPF_LD | BPF_W | BPF_ABS, kNrOffset);
+
   stmt(BPF_RET | BPF_K, SECCOMP_RET_KILL_PROCESS);
+  if (overflow) return -E2BIG;
 
   sock_fprog prog;
   prog.len = static_cast<unsigned short>(n);

@@ -47,7 +47,7 @@ struct NodeAgentConfig {
   // How many recently-served composition names travel in gossip (the
   // locality signal); oldest drop first.
   size_t max_resident_gossip = 64;
-  dnet::FrameLimits limits;
+  dnet::FrameLimits limits{};
   // Offload threads for dispatch setup and mesh serving.
   int dispatch_threads = 2;
 };

@@ -154,14 +154,4 @@ dbase::Result<dfunc::DataSetList> Platform::Invoke(InvocationRequest request) {
   return dispatcher_->Invoke(std::move(request));
 }
 
-dbase::Result<dfunc::DataSetList> Platform::Invoke(const std::string& composition,
-                                                   dfunc::DataSetList args) {
-  return dispatcher_->Invoke(composition, std::move(args));
-}
-
-void Platform::InvokeAsync(const std::string& composition, dfunc::DataSetList args,
-                           Dispatcher::ResultCallback callback) {
-  dispatcher_->InvokeAsync(composition, std::move(args), std::move(callback));
-}
-
 }  // namespace dandelion

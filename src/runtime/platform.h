@@ -90,13 +90,6 @@ class Platform {
   // of waiting forever).
   dbase::Result<dfunc::DataSetList> Invoke(InvocationRequest request);
 
-  // Legacy shims over the request API (no deadline, interactive class) so
-  // examples and benches migrate incrementally.
-  dbase::Result<dfunc::DataSetList> Invoke(const std::string& composition,
-                                           dfunc::DataSetList args);
-  void InvokeAsync(const std::string& composition, dfunc::DataSetList args,
-                   Dispatcher::ResultCallback callback);
-
   // --- Introspection -------------------------------------------------------
   dhttp::ServiceMesh& mesh() { return mesh_; }
   MemoryAccountant& accountant() { return accountant_; }

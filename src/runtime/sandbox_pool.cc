@@ -138,9 +138,7 @@ class ProcessWarmSandbox : public WarmSandbox {
       // the function body will need, then ack. A child that inherited a
       // held malloc lock wedges right here — before the ack — so the
       // parent retires it instead of shelving a time bomb.
-      void* probe = malloc(64);
-      static volatile void* sink;  // Escape: keeps the pair from being elided.
-      sink = probe;
+      void* volatile probe = malloc(64);  // volatile: the pair cannot be elided.
       free(probe);
       char ok = 'a';
       ssize_t w;

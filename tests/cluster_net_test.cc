@@ -8,17 +8,14 @@
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
-#include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <libgen.h>
 #include <optional>
 #include <string>
 #include <thread>
@@ -26,6 +23,7 @@
 
 #include "src/base/clock.h"
 #include "src/base/thread.h"
+#include "src/benchutil/spawn_node.h"
 #include "src/func/builtins.h"
 #include "src/func/data.h"
 #include "src/http/http_parser.h"
@@ -134,7 +132,7 @@ TEST(ClusterNetTest, RemoteInvokeEndToEnd) {
 
   for (int i = 0; i < 4; ++i) {
     const std::string payload = "remote-" + std::to_string(i);
-    auto routed = cluster.Invoke("Id", EchoArgs(payload));
+    auto routed = cluster.Invoke({.composition = "Id", .args = EchoArgs(payload)});
     ASSERT_TRUE(routed.ok()) << routed.status().ToString();
     EXPECT_EQ(routed.sets()[0].items[0].data.ToString(), payload);
     EXPECT_EQ(routed.attempts, 1);
@@ -161,9 +159,10 @@ TEST(ClusterNetTest, RemoteInvokeAddsZeroPayloadCopies) {
     Cluster local(config);
     ASSERT_TRUE(local.RegisterFunction({.name = "echo", .body = dfunc::EchoFunction}).ok());
     ASSERT_TRUE(local.RegisterCompositionDsl(kNodeDsl).ok());
-    ASSERT_TRUE(local.Invoke("Id", EchoArgs("warmup")).ok());
+    ASSERT_TRUE((local.Invoke({.composition = "Id", .args = EchoArgs("warmup")})).ok());
     const auto before = dfunc::DataPlaneStats::Get().snapshot();
-    auto routed = local.Invoke("Id", EchoArgs(std::string(kPayloadBytes, 'q')));
+    auto routed =
+        local.Invoke({.composition = "Id", .args = EchoArgs(std::string(kPayloadBytes, 'q'))});
     const auto after = dfunc::DataPlaneStats::Get().snapshot();
     ASSERT_TRUE(routed.ok()) << routed.status().ToString();
     local_copied = after.bytes_copied - before.bytes_copied;
@@ -176,10 +175,11 @@ TEST(ClusterNetTest, RemoteInvokeAddsZeroPayloadCopies) {
       RemoteClusterConfig({{"nz", node.port()}}, LoadBalancePolicy::kRoundRobin));
   // Warm-up: connection establishment and first-invoke setup out of the
   // measured window.
-  ASSERT_TRUE(cluster.Invoke("Id", EchoArgs("warmup")).ok());
+  ASSERT_TRUE((cluster.Invoke({.composition = "Id", .args = EchoArgs("warmup")})).ok());
 
   const auto before = dfunc::DataPlaneStats::Get().snapshot();
-  auto routed = cluster.Invoke("Id", EchoArgs(std::string(kPayloadBytes, 'q')));
+  auto routed =
+      cluster.Invoke({.composition = "Id", .args = EchoArgs(std::string(kPayloadBytes, 'q'))});
   const auto after = dfunc::DataPlaneStats::Get().snapshot();
   ASSERT_TRUE(routed.ok()) << routed.status().ToString();
   ASSERT_EQ(routed.sets()[0].items[0].data.size(), kPayloadBytes);
@@ -225,7 +225,7 @@ TEST(ClusterNetTest, ShedPeerReroutesToSibling) {
 
   // Occupy A (round-robin starts there) with a napping invocation.
   dbase::Latch nap_done(1);
-  cluster.InvokeAsync("Nap", EchoArgs("occupy"),
+  cluster.InvokeAsync({.composition = "Nap", .args = EchoArgs("occupy")},
                       [&](dbase::Result<DataSetList> result, int node) {
                         EXPECT_TRUE(result.ok()) << result.status().ToString();
                         EXPECT_EQ(node, 0);
@@ -240,13 +240,13 @@ TEST(ClusterNetTest, ShedPeerReroutesToSibling) {
   ASSERT_TRUE(arrived()) << "occupier never reached node A";
 
   // Round-robin sends this one to B directly.
-  auto direct = cluster.Invoke("Id", EchoArgs("direct"));
+  auto direct = cluster.Invoke({.composition = "Id", .args = EchoArgs("direct")});
   ASSERT_TRUE(direct.ok()) << direct.status().ToString();
   EXPECT_EQ(direct.node_name, "nb");
 
   // This one is aimed at A, which sheds at its cap — the router re-routes
   // it once to B instead of surfacing the 429-equivalent.
-  auto rerouted = cluster.Invoke("Id", EchoArgs("rerouted"));
+  auto rerouted = cluster.Invoke({.composition = "Id", .args = EchoArgs("rerouted")});
   ASSERT_TRUE(rerouted.ok()) << rerouted.status().ToString();
   EXPECT_EQ(rerouted.node_name, "nb");
   EXPECT_EQ(rerouted.attempts, 2);
@@ -275,7 +275,7 @@ TEST(ClusterNetTest, PeerLossMidInvokeReroutesToSurvivor) {
   std::atomic<int> served_by{-1};
   std::atomic<bool> ok{false};
   dbase::StatusCode code = dbase::StatusCode::kOk;
-  cluster.InvokeAsync("Nap", EchoArgs("survivor"),
+  cluster.InvokeAsync({.composition = "Nap", .args = EchoArgs("survivor")},
                       [&](dbase::Result<DataSetList> result, int node) {
                         ok.store(result.ok());
                         if (!result.ok()) code = result.status().code();
@@ -309,87 +309,15 @@ TEST(ClusterNetTest, PeerLossMidInvokeReroutesToSurvivor) {
 
 // ------------------------------------------------- multi-process peer kill
 
-// A dandelion_node daemon spawned next to this test binary, handshaking
-// its bound port over a stdout pipe.
-struct SpawnedNode {
-  pid_t pid = -1;
-  uint16_t port = 0;
-
-  bool ok() const { return pid > 0 && port != 0; }
-  void Kill(int signal_number = SIGKILL) {
-    if (pid <= 0) return;
-    kill(pid, signal_number);
-    int status = 0;
-    waitpid(pid, &status, 0);
-    pid = -1;
-  }
-};
-
-std::string NodeBinaryPath() {
-  char exe[4096] = {};
-  const ssize_t n = readlink("/proc/self/exe", exe, sizeof(exe) - 1);
-  if (n <= 0) return "";
-  std::string dir(exe, static_cast<size_t>(n));
-  return std::string(dirname(dir.data())) + "/dandelion_node";
-}
-
-SpawnedNode SpawnNode(const std::string& name) {
-  SpawnedNode node;
-  const std::string binary = NodeBinaryPath();
-  if (binary.empty() || access(binary.c_str(), X_OK) != 0) return node;
-
-  int fds[2];
-  if (pipe(fds) != 0) return node;
-  const pid_t pid = fork();
-  if (pid < 0) {
-    close(fds[0]);
-    close(fds[1]);
-    return node;
-  }
-  if (pid == 0) {
-    dup2(fds[1], STDOUT_FILENO);
-    close(fds[0]);
-    close(fds[1]);
-    const std::string name_flag = "--name=" + name;
-    const char* argv[] = {binary.c_str(), name_flag.c_str(), "--port=0",
-                          "--workers=2", nullptr};
-    execv(binary.c_str(), const_cast<char**>(argv));
-    _exit(127);
-  }
-  close(fds[1]);
-  node.pid = pid;
-
-  // Read the "LISTENING <port>" handshake with a bounded wait.
-  std::string line;
-  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(15);
-  while (std::chrono::steady_clock::now() < give_up) {
-    pollfd pfd{fds[0], POLLIN, 0};
-    if (poll(&pfd, 1, 200) <= 0) continue;
-    char buffer[128];
-    const ssize_t got = read(fds[0], buffer, sizeof(buffer));
-    if (got <= 0) break;
-    line.append(buffer, static_cast<size_t>(got));
-    const size_t newline = line.find('\n');
-    if (newline != std::string::npos) {
-      unsigned port = 0;
-      if (sscanf(line.c_str(), "LISTENING %u", &port) == 1) {
-        node.port = static_cast<uint16_t>(port);
-      }
-      break;
-    }
-  }
-  close(fds[0]);
-  if (node.port == 0) node.Kill();
-  return node;
-}
-
 TEST(ClusterNetTest, KilledNodeProcessIsAbsorbedByRetryPolicy) {
-  SpawnedNode n0 = SpawnNode("proc0");
+  // Two workers per daemon, default admission caps.
+  const auto spawn = [](const char* name) { return dbench::SpawnNode(name, 2, 256, 256); };
+  dbench::SpawnedNode n0 = spawn("proc0");
   if (!n0.ok()) {
     GTEST_SKIP() << "cannot spawn dandelion_node (no loopback or binary missing)";
   }
-  SpawnedNode n1 = SpawnNode("proc1");
-  SpawnedNode n2 = SpawnNode("proc2");
+  dbench::SpawnedNode n1 = spawn("proc1");
+  dbench::SpawnedNode n2 = spawn("proc2");
   ASSERT_TRUE(n1.ok());
   ASSERT_TRUE(n2.ok());
 
@@ -399,7 +327,7 @@ TEST(ClusterNetTest, KilledNodeProcessIsAbsorbedByRetryPolicy) {
 
   // Sanity: every process answers before the kill.
   for (int i = 0; i < 3; ++i) {
-    auto warm = cluster.Invoke("Id", EchoArgs("warm"));
+    auto warm = cluster.Invoke({.composition = "Id", .args = EchoArgs("warm")});
     ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   }
 
@@ -409,7 +337,7 @@ TEST(ClusterNetTest, KilledNodeProcessIsAbsorbedByRetryPolicy) {
   std::atomic<bool> ok{false};
   std::string failure;
   std::mutex failure_mu;
-  cluster.InvokeAsync("Work", EchoArgs("600000"),
+  cluster.InvokeAsync({.composition = "Work", .args = EchoArgs("600000")},
                       [&](dbase::Result<DataSetList> result, int) {
                         ok.store(result.ok());
                         if (!result.ok()) {
@@ -505,7 +433,7 @@ TEST(ClusterNetTest, MembershipSuspectsEvictsAndReadmits) {
     EXPECT_GE(stats.membership.evictions, 1u);
   }
   // With no eligible node, invokes fail fast instead of hanging.
-  auto unroutable = cluster.Invoke("Id", EchoArgs("nowhere"));
+  auto unroutable = cluster.Invoke({.composition = "Id", .args = EchoArgs("nowhere")});
   EXPECT_FALSE(unroutable.ok());
   EXPECT_EQ(unroutable.status().code(), dbase::StatusCode::kUnavailable);
 
@@ -519,7 +447,7 @@ TEST(ClusterNetTest, MembershipSuspectsEvictsAndReadmits) {
     EXPECT_EQ(FindPeer(stats, "nc")->state, "active");
     EXPECT_GE(stats.membership.rejoins, 1u);
   }
-  auto routed = cluster.Invoke("Id", EchoArgs("welcome back"));
+  auto routed = cluster.Invoke({.composition = "Id", .args = EchoArgs("welcome back")});
   ASSERT_TRUE(routed.ok()) << routed.status().ToString();
   EXPECT_EQ(routed.node_name, "nc");
 }
@@ -534,10 +462,10 @@ TEST(ClusterNetTest, GossipFillsPeerStatsAndLocalitysticks) {
 
   // First placement falls back to least-loaded; afterwards the serve
   // history pins the composition to that node.
-  auto first = cluster.Invoke("Id", EchoArgs("first"));
+  auto first = cluster.Invoke({.composition = "Id", .args = EchoArgs("first")});
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   for (int i = 0; i < 5; ++i) {
-    auto routed = cluster.Invoke("Id", EchoArgs("again"));
+    auto routed = cluster.Invoke({.composition = "Id", .args = EchoArgs("again")});
     ASSERT_TRUE(routed.ok());
     EXPECT_EQ(routed.node_index, first.node_index);
   }
@@ -701,7 +629,7 @@ TEST(ClusterNetTest, HostileFramesDropTheConnectionNotTheServer) {
   // router after all of the above.
   Cluster cluster(
       RemoteClusterConfig({{"nh", node.port()}}, LoadBalancePolicy::kRoundRobin));
-  auto routed = cluster.Invoke("Id", EchoArgs("still alive"));
+  auto routed = cluster.Invoke({.composition = "Id", .args = EchoArgs("still alive")});
   ASSERT_TRUE(routed.ok()) << routed.status().ToString();
   EXPECT_EQ(routed.sets()[0].items[0].data.ToString(), "still alive");
 }

@@ -8,12 +8,15 @@
 // that the unconfined path still executes correctly.
 #include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "src/base/clock.h"
 #include "src/base/thread.h"
@@ -113,12 +116,9 @@ TEST_F(JailTest, ForbiddenSyscallIsKilledNotExecuted) {
   ASSERT_TRUE(platform.RegisterFunction(FileGrabberSpec()).ok());
   ASSERT_TRUE(platform.RegisterCompositionDsl(kSingleDsl).ok());
 
-  dandelion::InvocationRequest request;
-  request.composition = "Run";
-  request.args = OneInput("x");
   dbase::Latch latch(1);
   dbase::Result<dfunc::DataSetList> result = dfunc::DataSetList{};
-  auto handle = platform.Submit(std::move(request),
+  auto handle = platform.Submit({.composition = "Run", .args = OneInput("x")},
                                 [&](dbase::Result<dfunc::DataSetList> r) {
                                   result = std::move(r);
                                   latch.CountDown();
@@ -147,12 +147,81 @@ TEST_F(JailTest, PureInMemoryFunctionRunsJailedUnmodified) {
   ASSERT_TRUE(platform.RegisterFunction(EchoSpec()).ok());
   ASSERT_TRUE(platform.RegisterCompositionDsl(kSingleDsl).ok());
 
-  dandelion::InvocationRequest request;
-  request.composition = "Run";
-  request.args = OneInput("pure");
-  auto result = platform.Invoke(std::move(request));
+  auto result = platform.Invoke({.composition = "Run", .args = OneInput("pure")});
   ASSERT_TRUE(result.ok()) << result.status().message();
   EXPECT_EQ((*result)[0].items[0].data, "pure");
+}
+
+// The child is forked from an engine worker, a non-main thread, so its
+// malloc arena grows by mprotect-ing reserved pages read/write. An
+// ordinary function that allocates 1 MiB in small blocks must not die.
+TEST_F(JailTest, HeapGrowthOnEngineWorkerRunsJailed) {
+  dandelion::Platform platform(ProcessConfig());
+  dfunc::FunctionSpec grower = EchoSpec();
+  grower.body = [](dfunc::FunctionCtx& ctx) {
+    constexpr size_t kBlock = 4096;
+    std::vector<std::unique_ptr<char[]>> blocks;
+    size_t touched = 0;
+    for (size_t total = 0; total < (1u << 20); total += kBlock) {
+      blocks.push_back(std::make_unique<char[]>(kBlock));
+      blocks.back()[kBlock - 1] = 1;
+      touched += static_cast<size_t>(blocks.back()[kBlock - 1]);
+    }
+    ctx.EmitOutput("out", std::to_string(touched));
+    return dbase::OkStatus();
+  };
+  ASSERT_TRUE(platform.RegisterFunction(std::move(grower)).ok());
+  ASSERT_TRUE(platform.RegisterCompositionDsl(kSingleDsl).ok());
+
+  auto result = platform.Invoke({.composition = "Run", .args = OneInput("grow")});
+  ASSERT_TRUE(result.ok()) << result.status().message();
+  EXPECT_EQ((*result)[0].items[0].data, "256");
+  EXPECT_EQ(platform.dispatcher_stats().sandbox_failures, 0u);
+}
+
+// Heap growth is allowed; making memory executable is not, through either
+// mprotect or mmap.
+TEST_F(JailTest, ExecutableMappingsAreKilled) {
+  if (!SandboxCapabilities::Get().seccomp_filter) {
+    GTEST_SKIP() << "seccomp filters unavailable: " << SandboxCapabilities::Get().detail;
+  }
+  dandelion::Platform platform(ProcessConfig());
+  dfunc::FunctionSpec exec_protect = EchoSpec("exec_protect");
+  exec_protect.body = [](dfunc::FunctionCtx& ctx) {
+    const long page = sysconf(_SC_PAGESIZE);
+    void* memory = mmap(nullptr, static_cast<size_t>(page), PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    const int rc = mprotect(memory, static_cast<size_t>(page), PROT_READ | PROT_EXEC);
+    ctx.EmitOutput("out", rc == 0 ? "executable" : "refused");
+    return dbase::OkStatus();
+  };
+  dfunc::FunctionSpec exec_map = EchoSpec("exec_map");
+  exec_map.body = [](dfunc::FunctionCtx& ctx) {
+    void* memory = mmap(nullptr, 4096, PROT_READ | PROT_EXEC, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    ctx.EmitOutput("out", memory != MAP_FAILED ? "executable" : "refused");
+    return dbase::OkStatus();
+  };
+  ASSERT_TRUE(platform.RegisterFunction(std::move(exec_protect)).ok());
+  ASSERT_TRUE(platform.RegisterFunction(std::move(exec_map)).ok());
+  ASSERT_TRUE(platform.RegisterCompositionDsl(R"(
+composition Protect(in) => out { exec_protect(in = all in) => (out = out); }
+composition Map(in) => out { exec_map(in = all in) => (out = out); }
+)")
+                  .ok());
+
+  for (const char* composition : {"Protect", "Map"}) {
+    dbase::Latch latch(1);
+    dbase::Result<dfunc::DataSetList> result = dfunc::DataSetList{};
+    auto handle = platform.Submit({.composition = composition, .args = OneInput("x")},
+                                  [&](dbase::Result<dfunc::DataSetList> r) {
+                                    result = std::move(r);
+                                    latch.CountDown();
+                                  });
+    ASSERT_TRUE(latch.WaitFor(10 * kMicrosPerSecond));
+    ASSERT_FALSE(result.ok()) << composition << " mapped executable memory";
+    EXPECT_EQ(result.status().code(), dbase::StatusCode::kPermissionDenied) << composition;
+    EXPECT_EQ(handle.Report().failure_kind, FailureKind::kJailKill) << composition;
+  }
 }
 
 // ------------------------------------------------- Failure-kind taxonomy
@@ -196,12 +265,9 @@ composition RunSpin(in) => out { spinner(in = all in) => (out = out); }
                   .ok());
 
   {
-    dandelion::InvocationRequest request;
-    request.composition = "RunCrash";
-    request.args = OneInput("x");
     dbase::Latch latch(1);
     dbase::Result<dfunc::DataSetList> result = dfunc::DataSetList{};
-    auto handle = platform.Submit(std::move(request),
+    auto handle = platform.Submit({.composition = "RunCrash", .args = OneInput("x")},
                                   [&](dbase::Result<dfunc::DataSetList> r) {
                                     result = std::move(r);
                                     latch.CountDown();
@@ -212,12 +278,9 @@ composition RunSpin(in) => out { spinner(in = all in) => (out = out); }
     EXPECT_EQ(handle.Report().failure_kind, FailureKind::kCrash);
   }
   {
-    dandelion::InvocationRequest request;
-    request.composition = "RunSlow";
-    request.args = OneInput("x");
     dbase::Latch latch(1);
     dbase::Result<dfunc::DataSetList> result = dfunc::DataSetList{};
-    auto handle = platform.Submit(std::move(request),
+    auto handle = platform.Submit({.composition = "RunSlow", .args = OneInput("x")},
                                   [&](dbase::Result<dfunc::DataSetList> r) {
                                     result = std::move(r);
                                     latch.CountDown();
@@ -228,12 +291,9 @@ composition RunSpin(in) => out { spinner(in = all in) => (out = out); }
     EXPECT_EQ(handle.Report().failure_kind, FailureKind::kDeadlineKill);
   }
   {
-    dandelion::InvocationRequest request;
-    request.composition = "RunSpin";
-    request.args = OneInput("x");
     dbase::Latch latch(1);
     dbase::Result<dfunc::DataSetList> result = dfunc::DataSetList{};
-    auto handle = platform.Submit(std::move(request),
+    auto handle = platform.Submit({.composition = "RunSpin", .args = OneInput("x")},
                                   [&](dbase::Result<dfunc::DataSetList> r) {
                                     result = std::move(r);
                                     latch.CountDown();
@@ -260,12 +320,9 @@ TEST_F(JailTest, RetryRecoversInjectedCrashTransparently) {
   FaultInjector::Get().Arm(FaultPoint::kChildCrashBeforeOutcome,
                            FaultPlan{.every_n = 1, .limit = 1});
 
-  dandelion::InvocationRequest request;
-  request.composition = "Run";
-  request.args = OneInput("survive");
   dbase::Latch latch(1);
   dbase::Result<dfunc::DataSetList> result = dfunc::DataSetList{};
-  auto handle = platform.Submit(std::move(request),
+  auto handle = platform.Submit({.composition = "Run", .args = OneInput("survive")},
                                 [&](dbase::Result<dfunc::DataSetList> r) {
                                   result = std::move(r);
                                   latch.CountDown();
@@ -294,12 +351,9 @@ TEST_F(JailTest, TornOutcomeIsDiscardedAndRetried) {
   FaultInjector::Get().Arm(FaultPoint::kChildCrashAfterPartialWrite,
                            FaultPlan{.every_n = 1, .limit = 1});
 
-  dandelion::InvocationRequest request;
-  request.composition = "Run";
-  request.args = OneInput("intact");
   dbase::Latch latch(1);
   dbase::Result<dfunc::DataSetList> result = dfunc::DataSetList{};
-  auto handle = platform.Submit(std::move(request),
+  auto handle = platform.Submit({.composition = "Run", .args = OneInput("intact")},
                                 [&](dbase::Result<dfunc::DataSetList> r) {
                                   result = std::move(r);
                                   latch.CountDown();
@@ -318,12 +372,9 @@ TEST_F(JailTest, TransientResourceExhaustionIsRetried) {
   FaultInjector::Get().Arm(FaultPoint::kTransientResourceExhausted,
                            FaultPlan{.every_n = 1, .limit = 1});
 
-  dandelion::InvocationRequest request;
-  request.composition = "Run";
-  request.args = OneInput("again");
   dbase::Latch latch(1);
   dbase::Result<dfunc::DataSetList> result = dfunc::DataSetList{};
-  auto handle = platform.Submit(std::move(request),
+  auto handle = platform.Submit({.composition = "Run", .args = OneInput("again")},
                                 [&](dbase::Result<dfunc::DataSetList> r) {
                                   result = std::move(r);
                                   latch.CountDown();
@@ -348,12 +399,7 @@ TEST_F(JailTest, PoolChildLostFallsBackToColdForkTransparently) {
   ASSERT_TRUE(platform.RegisterCompositionDsl(kSingleDsl).ok());
 
   dandelion::SandboxPool* pool = platform.sandbox_pool();
-  {
-    dandelion::InvocationRequest request;
-    request.composition = "Run";
-    request.args = OneInput("prime");
-    ASSERT_TRUE(platform.Invoke(std::move(request)).ok());
-  }
+  ASSERT_TRUE((platform.Invoke({.composition = "Run", .args = OneInput("prime")})).ok());
   pool->Tick(0);
   pool->Tick(100 * kMicrosPerMilli);
   ASSERT_GE(pool->Stats().shelved, 1);
@@ -364,10 +410,7 @@ TEST_F(JailTest, PoolChildLostFallsBackToColdForkTransparently) {
   FaultInjector::Get().Arm(FaultPoint::kPoolTemplateDeath,
                            FaultPlan{.every_n = 1, .limit = 1});
 
-  dandelion::InvocationRequest request;
-  request.composition = "Run";
-  request.args = OneInput("fallback");
-  auto result = platform.Invoke(std::move(request));
+  auto result = platform.Invoke({.composition = "Run", .args = OneInput("fallback")});
   ASSERT_TRUE(result.ok()) << result.status().message();
   EXPECT_EQ((*result)[0].items[0].data, "fallback");
   EXPECT_EQ(pool->Stats().pool_child_lost, 1u);
@@ -390,10 +433,7 @@ TEST_F(JailTest, BreakerTripsFastFailsAndRecoversAfterCooldown) {
   FaultInjector::Get().Arm(FaultPoint::kTransientResourceExhausted,
                            FaultPlan{.every_n = 1, .limit = 3});
   for (int i = 0; i < 3; ++i) {
-    dandelion::InvocationRequest request;
-    request.composition = "Run";
-    request.args = OneInput("doomed");
-    auto result = platform.Invoke(std::move(request));
+    auto result = platform.Invoke({.composition = "Run", .args = OneInput("doomed")});
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), dbase::StatusCode::kResourceExhausted);
   }
@@ -403,10 +443,7 @@ TEST_F(JailTest, BreakerTripsFastFailsAndRecoversAfterCooldown) {
 
   // While open: launches fast-fail kUnavailable without reaching a sandbox.
   {
-    dandelion::InvocationRequest request;
-    request.composition = "Run";
-    request.args = OneInput("shed");
-    auto result = platform.Invoke(std::move(request));
+    auto result = platform.Invoke({.composition = "Run", .args = OneInput("shed")});
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), dbase::StatusCode::kUnavailable)
         << result.status().message();
@@ -419,10 +456,7 @@ TEST_F(JailTest, BreakerTripsFastFailsAndRecoversAfterCooldown) {
   FaultInjector::Get().Disarm(FaultPoint::kTransientResourceExhausted);
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
   {
-    dandelion::InvocationRequest request;
-    request.composition = "Run";
-    request.args = OneInput("probe");
-    auto result = platform.Invoke(std::move(request));
+    auto result = platform.Invoke({.composition = "Run", .args = OneInput("probe")});
     ASSERT_TRUE(result.ok()) << result.status().message();
     EXPECT_EQ((*result)[0].items[0].data, "probe");
   }

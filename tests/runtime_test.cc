@@ -599,7 +599,7 @@ TEST(PlatformTest, SingleFunctionComposition) {
                   .RegisterCompositionDsl(
                       "composition Id(in) => out { echo(in = all in) => (out = out); }")
                   .ok());
-  auto result = platform.Invoke("Id", SingleArg("in", "ping"));
+  auto result = platform.Invoke({.composition = "Id", .args = SingleArg("in", "ping")});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result->size(), 1u);
   EXPECT_EQ((*result)[0].name, "out");
@@ -621,7 +621,7 @@ TEST(PlatformTest, MatMulComposition) {
   DataSetList args;
   args.push_back(DataSet{"A", {DataItem{"", dfunc::EncodeInt64Array(a)}}});
   args.push_back(DataSet{"B", {DataItem{"", dfunc::EncodeInt64Array(b)}}});
-  auto result = platform.Invoke("MM", std::move(args));
+  auto result = platform.Invoke({.composition = "MM", .args = std::move(args)});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(dfunc::DecodeInt64Array((*result)[0].items[0].data).value(),
             dfunc::MultiplyMatrices(a, b, n));
@@ -662,7 +662,7 @@ composition Fan(in) => out {
 }
 )")
                   .ok());
-  auto result = platform.Invoke("Fan", SingleArg("in", "abc"));
+  auto result = platform.Invoke({.composition = "Fan", .args = SingleArg("in", "abc")});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ((*result)[0].items.size(), 3u);
   EXPECT_EQ((*result)[0].items[0].data, "[a]");
@@ -683,7 +683,7 @@ composition Group(in) => out {
 )")
                   .ok());
   // "abca" → keys a (x2), b, c → 3 instances, deterministic key order.
-  auto result = platform.Invoke("Group", SingleArg("in", "abca"));
+  auto result = platform.Invoke({.composition = "Group", .args = SingleArg("in", "abca")});
   ASSERT_TRUE(result.ok());
   ASSERT_EQ((*result)[0].items.size(), 3u);
   EXPECT_EQ((*result)[0].items[0].data, "[aa]");
@@ -703,7 +703,7 @@ composition Fan(in) => out {
 }
 )")
                   .ok());
-  auto result = platform.Invoke("Fan", SingleArg("in", ""));
+  auto result = platform.Invoke({.composition = "Fan", .args = SingleArg("in", "")});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE((*result)[0].items.empty());
 }
@@ -717,7 +717,7 @@ TEST(PlatformTest, NonOptionalEmptyInputSkipsFunction) {
                   .ok());
   DataSetList args;
   args.push_back(DataSet{"in", {}});  // Empty set → function skipped (§4.4).
-  auto result = platform.Invoke("Skip", std::move(args));
+  auto result = platform.Invoke({.composition = "Skip", .args = std::move(args)});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE((*result)[0].items.empty());
   EXPECT_EQ(platform.dispatcher_stats().skipped_instances, 1u);
@@ -743,7 +743,7 @@ composition Opt(trigger, maybe) => out {
                   .ok());
   DataSetList args = SingleArg("trigger", "go");
   args.push_back(DataSet{"maybe", {}});
-  auto result = platform.Invoke("Opt", std::move(args));
+  auto result = platform.Invoke({.composition = "Opt", .args = std::move(args)});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ((*result)[0].items[0].data, "0");
 }
@@ -755,7 +755,7 @@ TEST(PlatformTest, ComputeFailureFailsInvocation) {
                   .RegisterCompositionDsl(
                       "composition F(in) => out { fail(in = all in) => (out = o); }")
                   .ok());
-  auto result = platform.Invoke("F", SingleArg("in", "x"));
+  auto result = platform.Invoke({.composition = "F", .args = SingleArg("in", "x")});
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), dbase::StatusCode::kInternal);
   EXPECT_EQ(platform.dispatcher_stats().invocations_failed, 1u);
@@ -778,7 +778,7 @@ composition Call(req) => resp {
   req.method = dhttp::Method::kPost;
   req.target = "http://echo.internal/";
   req.body = "payload";
-  auto result = platform.Invoke("Call", SingleArg("req", req.Serialize()));
+  auto result = platform.Invoke({.composition = "Call", .args = SingleArg("req", req.Serialize())});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   auto response = dhttp::ParseResponse((*result)[0].items[0].data);
   ASSERT_TRUE(response.ok());
@@ -799,7 +799,7 @@ composition Call(req) => resp {
                   .ok());
   dhttp::HttpRequest req;
   req.target = "http://unknown.host/";
-  auto result = platform.Invoke("Call", SingleArg("req", req.Serialize()));
+  auto result = platform.Invoke({.composition = "Call", .args = SingleArg("req", req.Serialize())});
   ASSERT_TRUE(result.ok());  // §4.4: failure forwarded, not raised.
   auto response = dhttp::ParseResponse((*result)[0].items[0].data);
   ASSERT_TRUE(response.ok());
@@ -816,7 +816,7 @@ composition Outer(x) => y {
 }
 )")
                   .ok());
-  auto result = platform.Invoke("Outer", SingleArg("x", "nested"));
+  auto result = platform.Invoke({.composition = "Outer", .args = SingleArg("x", "nested")});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ((*result)[0].items[0].data, "nested");
 }
@@ -827,14 +827,14 @@ TEST(PlatformTest, UnknownCalleeFails) {
                   .RegisterCompositionDsl(
                       "composition G(in) => out { Ghost(in = all in) => (out = o); }")
                   .ok());
-  auto result = platform.Invoke("G", SingleArg("in", "x"));
+  auto result = platform.Invoke({.composition = "G", .args = SingleArg("in", "x")});
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), dbase::StatusCode::kNotFound);
 }
 
 TEST(PlatformTest, UnknownCompositionFails) {
   Platform platform(FastPlatformConfig());
-  auto result = platform.Invoke("NoSuch", {});
+  auto result = platform.Invoke({.composition = "NoSuch", .args = {}});
   EXPECT_FALSE(result.ok());
 }
 
@@ -866,14 +866,13 @@ TEST(PlatformTest, ConcurrentInvocations) {
   dbase::Latch latch(kInvocations);
   std::atomic<int> correct{0};
   for (int i = 0; i < kInvocations; ++i) {
-    platform.InvokeAsync("Id", SingleArg("in", "v" + std::to_string(i)),
-                         [&, i](dbase::Result<DataSetList> result) {
-                           if (result.ok() &&
-                               (*result)[0].items[0].data == "v" + std::to_string(i)) {
-                             correct.fetch_add(1);
-                           }
-                           latch.CountDown();
-                         });
+    platform.Submit({.composition = "Id", .args = SingleArg("in", "v" + std::to_string(i))},
+                    [&, i](dbase::Result<DataSetList> result) {
+                      if (result.ok() && (*result)[0].items[0].data == "v" + std::to_string(i)) {
+                        correct.fetch_add(1);
+                      }
+                      latch.CountDown();
+                    });
   }
   ASSERT_TRUE(latch.WaitFor(30 * dbase::kMicrosPerSecond));
   EXPECT_EQ(correct.load(), kInvocations);
@@ -888,7 +887,7 @@ TEST(PlatformTest, ProcessBackendEndToEnd) {
                   .RegisterCompositionDsl(
                       "composition Id(in) => out { echo(in = all in) => (out = out); }")
                   .ok());
-  auto result = platform.Invoke("Id", SingleArg("in", "forked"));
+  auto result = platform.Invoke({.composition = "Id", .args = SingleArg("in", "forked")});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ((*result)[0].items[0].data, "forked");
 }
@@ -900,7 +899,7 @@ TEST(PlatformTest, MemoryReleasedAfterInvocation) {
                   .RegisterCompositionDsl(
                       "composition Id(in) => out { echo(in = all in) => (out = out); }")
                   .ok());
-  ASSERT_TRUE(platform.Invoke("Id", SingleArg("in", "x")).ok());
+  ASSERT_TRUE((platform.Invoke({.composition = "Id", .args = SingleArg("in", "x")})).ok());
   // The invocation callback fires from inside the engine's task completion;
   // the context itself is released moments later when the task object is
   // destroyed — poll briefly.
@@ -965,7 +964,7 @@ composition Rev(req) => resp {
 }
 )")
                   .ok());
-  auto result = platform.Invoke("Rev", SingleArg("req", "abc"));
+  auto result = platform.Invoke({.composition = "Rev", .args = SingleArg("req", "abc")});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   auto response = dhttp::ParseResponse((*result)[0].items[0].data);
   ASSERT_TRUE(response.ok());
@@ -1043,7 +1042,7 @@ composition Diamond(in) => out {
 }
 )")
                   .ok());
-  auto result = platform.Invoke("Diamond", SingleArg("in", "MiXeD"));
+  auto result = platform.Invoke({.composition = "Diamond", .args = SingleArg("in", "MiXeD")});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ((*result)[0].items[0].data, "MIXED|mixed");
 }
@@ -1062,7 +1061,7 @@ composition Share(in) => out {
 )")
                   .ok());
   // "echo2" is not registered: expect failure naming the callee.
-  auto bad = platform.Invoke("Share", SingleArg("in", "x"));
+  auto bad = platform.Invoke({.composition = "Share", .args = SingleArg("in", "x")});
   ASSERT_FALSE(bad.ok());
   EXPECT_NE(bad.status().message().find("echo2"), std::string::npos);
 }
@@ -1077,7 +1076,7 @@ composition Both(in) => up, down {
 }
 )")
                   .ok());
-  auto result = platform.Invoke("Both", SingleArg("in", "AbC"));
+  auto result = platform.Invoke({.composition = "Both", .args = SingleArg("in", "AbC")});
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->size(), 2u);
   EXPECT_EQ((*result)[0].name, "up");
@@ -1097,7 +1096,7 @@ composition A(in) => out { B(in = all in) => (out = out); }
 composition B(in) => out { A(in = all in) => (out = out); }
 )")
                   .ok());
-  auto result = platform.Invoke("A", SingleArg("in", "x"));
+  auto result = platform.Invoke({.composition = "A", .args = SingleArg("in", "x")});
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), dbase::StatusCode::kResourceExhausted);
 }
@@ -1115,7 +1114,7 @@ composition Outer(x) => y { Inner(in = all optional x) => (y = out); }
                   .ok());
   DataSetList args;
   args.push_back(DataSet{"x", {}});  // Empty: Inner's echo skips instantly.
-  auto result = platform.Invoke("Outer", std::move(args));
+  auto result = platform.Invoke({.composition = "Outer", .args = std::move(args)});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE((*result)[0].items.empty());
 }
@@ -1132,7 +1131,7 @@ composition FanNested(in) => out {
 }
 )")
                   .ok());
-  auto result = platform.Invoke("FanNested", SingleArg("in", "xy"));
+  auto result = platform.Invoke({.composition = "FanNested", .args = SingleArg("in", "xy")});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ((*result)[0].items.size(), 2u);
   EXPECT_EQ((*result)[0].items[0].data, "[x]");
@@ -1164,7 +1163,7 @@ TEST(PlatformTest, FilesystemViewFunctionEndToEnd) {
                   .ok());
   DataSetList args;
   args.push_back(DataSet{"docs", {DataItem{"b", "second"}, DataItem{"a", "first"}}});
-  auto result = platform.Invoke("Cat", std::move(args));
+  auto result = platform.Invoke({.composition = "Cat", .args = std::move(args)});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ((*result)[0].items.size(), 1u);
   // ListDir is sorted, so "a" comes before "b".

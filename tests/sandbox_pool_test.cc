@@ -339,10 +339,7 @@ TEST(SandboxPoolPlatformTest, PoolMissFallsBackToColdCreate) {
 
   // No tick has run, the shelf is empty: the invocation must still succeed
   // via the cold path and report zero pool hits.
-  dandelion::InvocationRequest request;
-  request.composition = "Run";
-  request.args = OneInput("cold");
-  auto result = platform.Invoke(std::move(request));
+  auto result = platform.Invoke({.composition = "Run", .args = OneInput("cold")});
   ASSERT_TRUE(result.ok()) << result.status().message();
   EXPECT_EQ((*result)[0].items[0].data, "cold");
 
@@ -358,22 +355,14 @@ TEST(SandboxPoolPlatformTest, WarmHitIsReportedOnTheInvocation) {
 
   // Warm the shelf by hand (tests drive Tick directly for determinism).
   SandboxPool* pool = platform.sandbox_pool();
-  {
-    dandelion::InvocationRequest request;
-    request.composition = "Run";
-    request.args = OneInput("prime");
-    ASSERT_TRUE(platform.Invoke(std::move(request)).ok());
-  }
+  ASSERT_TRUE((platform.Invoke({.composition = "Run", .args = OneInput("prime")})).ok());
   pool->Tick(0);
   pool->Tick(100 * kMicrosPerMilli);
   ASSERT_GE(pool->Stats().shelved, 1);
 
-  dandelion::InvocationRequest request;
-  request.composition = "Run";
-  request.args = OneInput("warm");
   dbase::Latch latch(1);
   dbase::Result<dfunc::DataSetList> result = dfunc::DataSetList{};
-  auto handle = platform.Submit(std::move(request),
+  auto handle = platform.Submit({.composition = "Run", .args = OneInput("warm")},
                                 [&](dbase::Result<dfunc::DataSetList> r) {
                                   result = std::move(r);
                                   latch.CountDown();
@@ -408,12 +397,7 @@ TEST(SandboxPoolPlatformTest, CancelRacesCompletionOnPooledSandbox) {
   ASSERT_TRUE(platform.RegisterCompositionDsl(kSingleDsl).ok());
 
   SandboxPool* pool = platform.sandbox_pool();
-  {
-    dandelion::InvocationRequest request;
-    request.composition = "Run";
-    request.args = OneInput("prime");
-    ASSERT_TRUE(platform.Invoke(std::move(request)).ok());
-  }
+  ASSERT_TRUE((platform.Invoke({.composition = "Run", .args = OneInput("prime")})).ok());
   pool->Tick(0);
   pool->Tick(100 * kMicrosPerMilli);
   ASSERT_GE(pool->Stats().shelved, 1);
@@ -421,12 +405,9 @@ TEST(SandboxPoolPlatformTest, CancelRacesCompletionOnPooledSandbox) {
   // Race a cancel against the pooled execution, at staggered offsets so
   // some cancels land mid-execution and some land after completion.
   for (int i = 0; i < 8; ++i) {
-    dandelion::InvocationRequest request;
-    request.composition = "Run";
-    request.args = OneInput("racy");
     dbase::Latch latch(1);
     std::atomic<bool> ok{false};
-    auto handle = platform.Submit(std::move(request),
+    auto handle = platform.Submit({.composition = "Run", .args = OneInput("racy")},
                                   [&](dbase::Result<dfunc::DataSetList> r) {
                                     ok.store(r.ok());
                                     latch.CountDown();
@@ -464,12 +445,7 @@ TEST(SandboxPoolPlatformTest, DeadlineWhileQueuedReleasesTheWarmSandbox) {
   ASSERT_TRUE(platform.RegisterCompositionDsl(kSingleDsl).ok());
 
   SandboxPool* pool = platform.sandbox_pool();
-  {
-    dandelion::InvocationRequest request;
-    request.composition = "Run";
-    request.args = OneInput("prime");
-    ASSERT_TRUE(platform.Invoke(std::move(request)).ok());
-  }
+  ASSERT_TRUE((platform.Invoke({.composition = "Run", .args = OneInput("prime")})).ok());
   pool->Tick(0);
   pool->Tick(100 * kMicrosPerMilli);
   ASSERT_GE(pool->Stats().shelved, 1);
@@ -479,10 +455,7 @@ TEST(SandboxPoolPlatformTest, DeadlineWhileQueuedReleasesTheWarmSandbox) {
   // at dispatch, parks in the queue, dies there, and must be released back
   // (never executed) rather than leaked.
   dbase::Latch blocker_done(1);
-  dandelion::InvocationRequest block_request;
-  block_request.composition = "Run";
-  block_request.args = OneInput("block");
-  platform.Submit(std::move(block_request),
+  platform.Submit({.composition = "Run", .args = OneInput("block")},
                   [&](dbase::Result<dfunc::DataSetList>) { blocker_done.CountDown(); });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
 
