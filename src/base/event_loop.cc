@@ -14,6 +14,10 @@ namespace {
 
 constexpr int kMaxEventsPerWait = 64;
 
+// The loop whose Run() is executing on this thread, if any. Thread-local,
+// so IsLoopThread() is a race-free read from any thread.
+thread_local const EventLoop* current_loop = nullptr;
+
 }  // namespace
 
 Result<std::unique_ptr<EventLoop>> EventLoop::Create() {
@@ -70,15 +74,25 @@ void EventLoop::Remove(int fd) {
   fd_callbacks_.erase(fd);
 }
 
+bool EventLoop::IsLoopThread() const { return current_loop == this; }
+
 void EventLoop::Post(std::function<void()> fn) {
+  // The loop's own posts write no wakeup: Run() polls instead of blocking
+  // while self_posted_ is set. A foreign post that finds the queue
+  // non-empty skips the write too — a wakeup is already in flight, or a
+  // pending self-post keeps the loop from blocking before RunPosted().
+  const bool self = IsLoopThread();
   bool need_wake;
   {
     std::lock_guard<std::mutex> lock(posted_mu_);
-    need_wake = posted_.empty();
+    need_wake = !self && posted_.empty();
     posted_.push_back(std::move(fn));
   }
+  if (self) {
+    self_posted_ = true;
+  }
   if (!need_wake) {
-    return;  // A wakeup for the queued batch is already in flight.
+    return;
   }
   const uint64_t one = 1;
   // The eventfd is valid for the EventLoop's whole lifetime; a full counter
@@ -108,6 +122,9 @@ void EventLoop::RunPosted() {
     std::lock_guard<std::mutex> lock(posted_mu_);
     batch.swap(posted_);
   }
+  // Closures this batch posts to the loop land in posted_ and set the flag
+  // again; they run in the next turn, after an epoll_wait that polls.
+  self_posted_ = false;
   for (auto& fn : batch) {
     fn();
   }
@@ -140,11 +157,12 @@ int EventLoop::NextTimeoutMillis(Micros now) const {
 }
 
 void EventLoop::Run() {
-  loop_thread_id_ = std::this_thread::get_id();
+  current_loop = this;
   epoll_event events[kMaxEventsPerWait];
   while (!stopped_.load(std::memory_order_acquire)) {
-    const Micros now = MonotonicClock::Get()->NowMicros();
-    const int n = epoll_wait(epoll_fd_, events, kMaxEventsPerWait, NextTimeoutMillis(now));
+    const int timeout =
+        self_posted_ ? 0 : NextTimeoutMillis(MonotonicClock::Get()->NowMicros());
+    const int n = epoll_wait(epoll_fd_, events, kMaxEventsPerWait, timeout);
     if (n < 0 && errno != EINTR) {
       DLOG(Error) << "epoll_wait failed: " << std::strerror(errno);
       break;
@@ -152,9 +170,10 @@ void EventLoop::Run() {
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
       if (fd == wakeup_fd_) {
+        // One read resets an eventfd counter to zero, however many posts
+        // added to it.
         uint64_t drained;
-        while (read(wakeup_fd_, &drained, sizeof(drained)) > 0) {
-        }
+        [[maybe_unused]] const ssize_t r = read(wakeup_fd_, &drained, sizeof(drained));
         continue;
       }
       // Re-lookup per event: an earlier callback in this batch may have
@@ -175,7 +194,7 @@ void EventLoop::Run() {
   // A Stop() racing the final wait may leave closures behind; run them so
   // shutdown work posted just before Stop() is not silently dropped.
   RunPosted();
-  loop_thread_id_ = std::thread::id();
+  current_loop = nullptr;
 }
 
 }  // namespace dbase

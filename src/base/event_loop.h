@@ -1,9 +1,11 @@
 // Epoll-based event loop: the reactor under the async HTTP frontend. One
 // thread calls Run(); it multiplexes socket readiness, one-shot timers, and
-// closures posted from other threads (woken through an eventfd). All fd and
-// timer registration is expected to happen on the loop thread except Post()
-// and Stop(), which are safe from anywhere — async work (engine completions)
-// re-enters the loop by posting a closure rather than touching loop state.
+// posted closures (other threads wake it through an eventfd; the loop's
+// own posts need no wakeup — it polls instead of blocking while they are
+// pending). All fd and timer registration is expected to happen on the
+// loop thread except Post() and Stop(), which are safe from anywhere —
+// async work (engine completions) re-enters the loop by posting a closure
+// rather than touching loop state.
 #ifndef SRC_BASE_EVENT_LOOP_H_
 #define SRC_BASE_EVENT_LOOP_H_
 
@@ -14,7 +16,6 @@
 #include <memory>
 #include <mutex>
 #include <queue>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -55,6 +56,8 @@ class EventLoop {
   void Remove(int fd);
 
   // Thread-safe: enqueues fn to run on the loop thread and wakes the loop.
+  // From the loop thread itself no wakeup is written: fn runs after the
+  // current batch of events, posted closures and timers, in post order.
   // Closures posted after Stop() are retained but never run.
   void Post(std::function<void()> fn);
 
@@ -63,8 +66,9 @@ class EventLoop {
   TimerId AddTimer(Micros delay, std::function<void()> fn);
   void CancelTimer(TimerId id);
 
-  // True when called from inside Run() on the loop thread.
-  bool IsLoopThread() const { return std::this_thread::get_id() == loop_thread_id_; }
+  // True when called from inside Run() on the loop thread. Safe from any
+  // thread: it reads only the caller's own thread-local state.
+  bool IsLoopThread() const;
 
  private:
   EventLoop(int epoll_fd, int wakeup_fd);
@@ -92,7 +96,10 @@ class EventLoop {
   using TimerKey = std::pair<Micros, TimerId>;
   std::priority_queue<TimerKey, std::vector<TimerKey>, std::greater<TimerKey>> timer_heap_;
   TimerId next_timer_id_ = 1;
-  std::thread::id loop_thread_id_;
+  // The loop thread posted to itself since the last RunPosted() swap, so
+  // posted_ may be non-empty with no eventfd write behind it: the next
+  // epoll_wait must poll instead of block.
+  bool self_posted_ = false;
 
   // Cross-thread state.
   std::mutex posted_mu_;

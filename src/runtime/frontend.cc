@@ -42,7 +42,7 @@ void WriteAll(int fd, const std::string& data) {
   const dbase::Stopwatch watch;
   size_t offset = 0;
   while (offset < data.size() && watch.ElapsedMicros() < dbase::kMicrosPerSecond) {
-    const ssize_t n = write(fd, data.data() + offset, data.size() - offset);
+    const ssize_t n = send(fd, data.data() + offset, data.size() - offset, MSG_NOSIGNAL);
     if (n > 0) {
       offset += static_cast<size_t>(n);
       continue;
@@ -86,7 +86,7 @@ bool WantsKeepAlive(const dhttp::HttpRequest& request) {
 // and the marshalled sets follow as scatter chunks whose large payloads
 // alias the result items' backing buffers (a producer's context region, or
 // even the original request body for a pass-through composition) all the
-// way into writev.
+// way into the gathered send.
 WireChunks InvocationResponseWire(dbase::Result<dfunc::DataSetList> result) {
   if (result.ok()) {
     dfunc::DataSetList sets = std::move(result).value();
@@ -554,18 +554,23 @@ bool HttpFrontend::HandleRequest(const ConnectionPtr& conn, std::string_view wir
                status.ok() ? dhttp::HttpResponse::Make(201, "Created", "registered\n")
                            : dhttp::HttpResponse::BadRequest(status.ToString()));
   } else if (request.method == dhttp::Method::kPost && target.rfind("/invoke/", 0) == 0) {
-    // Hand the dispatch itself (argument resolution, memory-context
-    // creation, input marshalling inside the dispatcher) to the pool so the
-    // loop thread moves on to the next connection immediately — unless the
-    // pool is disabled (small machines), where dispatching inline avoids a
-    // thread hop. Either way the engine work itself is asynchronous.
+    // With other invocations in flight, hand the dispatch itself (argument
+    // resolution, memory-context creation, input marshalling inside the
+    // dispatcher) to the pool so the loop thread moves on to the next
+    // connection immediately. On an idle frontend there is nothing for the
+    // loop to move on to, so the hop would only add latency: dispatch
+    // inline, as always when the pool is disabled (small machines). Either
+    // way the engine work itself is asynchronous.
     std::weak_ptr<Connection> weak_conn = conn;
-    if (dispatch_pool_ == nullptr) {
+    const bool idle = invokes_pending_ == 0;
+    ++invokes_pending_;
+    if (dispatch_pool_ == nullptr || idle) {
       DispatchInvoke(weak_conn, slot, std::move(parsed).value());
     } else if (!dispatch_pool_->Submit(
                    [this, weak_conn, slot, request = std::move(parsed).value()]() mutable {
                      DispatchInvoke(weak_conn, slot, std::move(request));
                    })) {
+      --invokes_pending_;
       FinishSlot(conn, slot,
                  dhttp::HttpResponse::Make(503, "Service Unavailable", "shutting down"));
     }
@@ -614,9 +619,11 @@ void HttpFrontend::DispatchInvoke(const std::weak_ptr<Connection>& weak_conn, co
                          ? config_.max_inflight_interactive
                          : config_.max_inflight_batch;
   const std::shared_ptr<InvokeCounters> counters = counters_;
-  if (cap > 0 &&
-      static_cast<size_t>(counters->inflight[class_index].fetch_add(
-          1, std::memory_order_relaxed)) >= cap) {
+  // Counted even when uncapped: the completion always releases, and
+  // /statz reports the gauge.
+  const int64_t already_inflight =
+      counters->inflight[class_index].fetch_add(1, std::memory_order_relaxed);
+  if (cap > 0 && static_cast<size_t>(already_inflight) >= cap) {
     counters->inflight[class_index].fetch_sub(1, std::memory_order_relaxed);
     counters->shed_429.fetch_add(1, std::memory_order_relaxed);
     PostSlotCompletion(
@@ -728,6 +735,7 @@ void HttpFrontend::PostSlotCompletion(const std::weak_ptr<Connection>& weak_conn
 
 void HttpFrontend::ApplySlotCompletion(const std::weak_ptr<Connection>& weak_conn,
                                        const SlotPtr& slot, WireChunks bytes) {
+  --invokes_pending_;
   slot->ready = true;
   slot->bytes = std::move(bytes);
   const ConnectionPtr locked = weak_conn.lock();
@@ -832,7 +840,7 @@ void HttpFrontend::FlushPipeline(const ConnectionPtr& conn) {
 
 void HttpFrontend::TryWrite(const ConnectionPtr& conn) {
   while (conn->HasPendingOut()) {
-    // Gather the queued chunks into one writev: header, framing, and
+    // Gather the queued chunks into one sendmsg: header, framing, and
     // payload slices go to the kernel without ever being concatenated.
     constexpr size_t kMaxIov = 64;
     iovec iov[kMaxIov];
@@ -847,7 +855,12 @@ void HttpFrontend::TryWrite(const ConnectionPtr& conn) {
       skip = 0;
       ++iov_count;
     }
-    const ssize_t n = writev(conn->fd, iov, static_cast<int>(iov_count));
+    // MSG_NOSIGNAL: a client that reset costs an EPIPE, not a SIGPIPE that
+    // kills the process.
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = iov_count;
+    const ssize_t n = sendmsg(conn->fd, &msg, MSG_NOSIGNAL);
     if (n > 0) {
       conn->out_pending -= static_cast<size_t>(n);
       total_response_bytes_ -= static_cast<size_t>(n);

@@ -86,17 +86,21 @@ struct FrontendConfig {
   // degrades by rejecting cheap and early. 0 = uncapped.
   size_t max_inflight_interactive = 256;
   size_t max_inflight_batch = 256;
-  // Threads that run Platform::InvokeAsync dispatch (dependency setup,
-  // memory-context creation, input marshalling) so the loop thread stays on
-  // socket work. -1 auto-sizes: 2 when the machine has cores to spare,
-  // 0 (dispatch inline on the loop thread) otherwise — on a 1-core box the
+  // Threads that run invocation dispatch (dependency setup, memory-context
+  // creation, input marshalling) so the loop thread stays on socket work
+  // while other invocations are in flight. An invoke arriving when no
+  // other one is pending anywhere (queued for the pool, in the engines, or
+  // with its completion not yet applied on the loop) is dispatched inline
+  // on the loop thread instead: an idle loop has no other socket work, and
+  // the hop would only add latency. -1 auto-sizes: 2 when the machine has
+  // cores to spare, 0 (always inline) otherwise — on a 1-core box the
   // extra thread hop costs more than it hides. Response ordering is
   // unaffected (slots are queued at parse time); only invocation start
   // order across one connection's pipelined requests becomes best-effort.
   int dispatch_threads = -1;
 };
 
-// A response as an ordered chunk sequence for gathered (writev) output:
+// A response as an ordered chunk sequence for gathered (sendmsg) output:
 // framing/header chunks own their bytes via refcounted buffers, large
 // payload chunks alias the marshalled set slices directly — the frontend
 // never concatenates a big response into one contiguous string.
@@ -155,7 +159,7 @@ class HttpFrontend {
     };
     State state = State::kReading;
     std::string in;   // Received, not-yet-consumed bytes.
-    // Response chunks awaiting write, gathered with writev. out_offset is
+    // Response chunks awaiting write, gathered with sendmsg. out_offset is
     // the cursor into the front chunk (partial writes advance it without
     // memmoving anything); out_pending is the total unsent byte count
     // across all chunks (the budget-accounting quantity).
@@ -204,10 +208,11 @@ class HttpFrontend {
   // connection stopped accepting further requests.
   bool HandleRequest(const ConnectionPtr& conn, std::string_view wire);
   // POST /invoke/<composition>: resolves the arguments and hands the work
-  // to Platform::InvokeAsync; the completion posts back to the loop. Runs
-  // on a dispatch-pool thread when the pool is enabled, inline on the loop
-  // thread otherwise — so it must never block (engine work is async either
-  // way; only the dispatch setup happens here).
+  // to the platform (or the cluster router); the completion posts back to
+  // the loop. Runs on a dispatch-pool thread while other invocations are in
+  // flight, inline on the loop thread when the frontend is idle or the pool
+  // is disabled — so it must never block (engine work is async either way;
+  // only the dispatch setup happens here).
   void DispatchInvoke(const std::weak_ptr<Connection>& weak_conn, const SlotPtr& slot,
                       dhttp::HttpRequest request);
   void FinishSlot(const ConnectionPtr& conn, const SlotPtr& slot,
@@ -273,6 +278,11 @@ class HttpFrontend {
   std::unordered_map<int, ConnectionPtr> connections_;  // Loop thread only.
   std::vector<ConnectionPtr> dirty_connections_;        // Loop thread only.
   bool flush_scheduled_ = false;                        // Loop thread only.
+  // /invoke requests parsed whose completion has not been applied on the
+  // loop yet, wherever they are: queued for the dispatch pool, in the
+  // engines, or posted back (loop thread only). 0 means the frontend is
+  // idle, and the next invoke is dispatched inline.
+  size_t invokes_pending_ = 0;
   // Sum of all connections' `in` buffers (loop thread only); enforces
   // FrontendConfig::max_total_buffered_bytes.
   size_t total_buffered_bytes_ = 0;

@@ -177,7 +177,13 @@ void NodeAgent::HandleInvoke(dnet::WireInvoke invoke, dnet::NodeServer::OutcomeF
       }
     }
   };
-  if (dispatch_pool_ != nullptr && dispatch_pool_->Submit(submit)) {
+  // Only this invoke in flight: nothing else wants the wire loop, so submit
+  // on it rather than pay a hop to the pool. Platform::Submit never blocks.
+  int64_t inflight = 0;
+  for (const auto& gauge : inflight_) {
+    inflight += gauge.load(std::memory_order_relaxed);
+  }
+  if (inflight > 1 && dispatch_pool_ != nullptr && dispatch_pool_->Submit(submit)) {
     return;
   }
   submit();
@@ -197,6 +203,8 @@ void NodeAgent::HandleCancel(uint64_t invocation_id) {
 }
 
 void NodeAgent::HandleMesh(std::string request, dnet::NodeServer::MeshReplyFn done) {
+  // Always offloaded when a pool exists: a mesh call blocks for the
+  // service's (modelled) latency and would stall every wire peer.
   outstanding_.fetch_add(1, std::memory_order_acq_rel);
   auto serve = [this, request = std::move(request), done = std::move(done)]() {
     dnet::WireMeshReply reply;

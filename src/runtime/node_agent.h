@@ -14,8 +14,9 @@
 //   mesh    → serve a carried service-mesh request against the local mesh
 //             and report the modelled latency back.
 //
-// Dispatch setup and mesh serving run on a small offload pool so the wire
-// loop thread never leaves socket work.
+// Mesh serving, and dispatch setup while other invokes are in flight, run
+// on a small offload pool so the wire loop thread stays on socket work. A
+// lone invoke on an idle node is submitted on the wire loop itself.
 #ifndef SRC_RUNTIME_NODE_AGENT_H_
 #define SRC_RUNTIME_NODE_AGENT_H_
 
@@ -48,7 +49,11 @@ struct NodeAgentConfig {
   // locality signal); oldest drop first.
   size_t max_resident_gossip = 64;
   dnet::FrameLimits limits{};
-  // Offload threads for dispatch setup and mesh serving.
+  // Offload threads for mesh serving and for dispatch setup. An invoke
+  // that arrives while no other invoke is in flight on this node skips the
+  // pool and is submitted on the wire loop (the hop would only add
+  // latency); mesh calls block, so they always take the pool. 0 = always
+  // inline on the wire loop.
   int dispatch_threads = 2;
 };
 

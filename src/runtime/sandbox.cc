@@ -194,24 +194,19 @@ class ThreadSandbox : public SandboxExecutor {
     outcome.timings.pool_hit = options.prewarmed;
     dbase::Stopwatch watch;
 
-    // Binary load (modelled; §7.4 cached vs. uncached). A pre-warmed
-    // sandbox loaded its binary at pool-fill time — nothing to pay here,
-    // and the timing rows must say so (setup_us distinguishes pool-hit ~0
-    // from a cold create).
+    // Binary load (modelled; §7.4 cached vs. uncached), then the sandbox
+    // setup surcharge (VM enter for kvm-sim, runtime init for wasm-sim;
+    // zero for the CHERI stand-in — its point is that a sandbox is just a
+    // capability switch within the address space). A pre-warmed sandbox
+    // paid both at pool-fill time: its rows report exactly 0, untimed, so
+    // pool hits stay distinguishable from a cold create.
     if (!options.prewarmed) {
-      const dbase::Micros load = LoadCost(costs_, spec.binary_bytes, options.binary_cached);
-      dbase::SpinFor(load);
-    }
-    outcome.timings.load_us = watch.ElapsedMicros();
-
-    // Sandbox setup surcharge (VM enter for kvm-sim, runtime init for
-    // wasm-sim; zero for the CHERI stand-in — its point is that a sandbox
-    // is just a capability switch within the address space).
-    watch.Restart();
-    if (!options.prewarmed) {
+      dbase::SpinFor(LoadCost(costs_, spec.binary_bytes, options.binary_cached));
+      outcome.timings.load_us = watch.ElapsedMicros();
+      watch.Restart();
       dbase::SpinFor(costs_.setup_us);
+      outcome.timings.setup_us = watch.ElapsedMicros();
     }
-    outcome.timings.setup_us = watch.ElapsedMicros();
 
     // Execute inline with a watchdog-enforced cooperative deadline. The
     // invocation's external cancel flag rides along: the body's
@@ -291,11 +286,11 @@ class ProcessSandbox : public SandboxExecutor {
       return outcome;
     }
 
+    // A pre-warmed binary is already loaded: its load row is exactly 0.
     if (!options.prewarmed) {
-      const dbase::Micros load = LoadCost(costs_, spec.binary_bytes, options.binary_cached);
-      dbase::SpinFor(load);
+      dbase::SpinFor(LoadCost(costs_, spec.binary_bytes, options.binary_cached));
+      outcome.timings.load_us = watch.ElapsedMicros();
     }
-    outcome.timings.load_us = watch.ElapsedMicros();
 
     watch.Restart();
     // Jail and fault decisions happen pre-fork: the child must never touch

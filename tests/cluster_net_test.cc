@@ -393,6 +393,60 @@ TEST(ClusterNetTest, MeshCallRidesTheNodeWire) {
   EXPECT_EQ(b.platform().mesh().total_calls(), 1u);
 }
 
+// A mesh call holds a dispatch-pool thread for the service's whole
+// latency; an invoke reaching the same node meanwhile must be served
+// without waiting for it (mesh serving never runs on the wire loop).
+TEST(ClusterNetTest, BlockingMeshCallDoesNotDelayInvokeOnSameNode) {
+  AgentNode b(NodeAgentConfig{.node_name = "nb"});
+  SKIP_WITHOUT_LOOPBACK(b);
+  dbase::Latch entered(1);
+  dbase::Latch release(1);
+  b.platform().mesh().Register(
+      "svc.blocking", std::make_shared<dhttp::LambdaService>(
+                          [&](const dhttp::HttpRequest& request, const dhttp::Uri&) {
+                            entered.CountDown();
+                            release.WaitFor(10 * dbase::kMicrosPerSecond);
+                            return dhttp::HttpResponse::Ok(request.body);
+                          }));
+
+  Cluster::Config mesh_config =
+      RemoteClusterConfig({{"nb", b.port()}}, LoadBalancePolicy::kRoundRobin);
+  mesh_config.num_nodes = 1;  // The local node's mesh calls ride the wire.
+  Cluster mesh_caller(mesh_config);
+  mesh_caller.node(0).mesh().RegisterRemote("svc.blocking", "nb");
+  Cluster invoker(RemoteClusterConfig({{"nb", b.port()}}, LoadBalancePolicy::kRoundRobin));
+
+  dhttp::HttpRequest request;
+  request.method = dhttp::Method::kPost;
+  request.target = "http://svc.blocking/hold";
+  request.body = "held";
+  auto sanitized = dhttp::SanitizeRequest(request.Serialize());
+  ASSERT_TRUE(sanitized.ok()) << sanitized.status().ToString();
+  std::atomic<bool> mesh_returned{false};
+  dbase::JoiningThread mesh_thread("mesh-call", [&] {
+    auto result = mesh_caller.node(0).mesh().Call(*sanitized);
+    EXPECT_EQ(result.response.status_code, 200);
+    EXPECT_EQ(result.response.body, "held");
+    mesh_returned = true;
+  });
+  ASSERT_TRUE(entered.WaitFor(5 * dbase::kMicrosPerSecond));
+
+  // The service is now blocked inside node B; the invoke must not queue
+  // behind it.
+  const dbase::Stopwatch watch;
+  auto routed = invoker.Invoke({.composition = "Id", .args = EchoArgs("not-delayed")});
+  const dbase::Micros elapsed = watch.ElapsedMicros();
+  const bool mesh_still_blocked = !mesh_returned.load();
+  release.CountDown();
+  mesh_thread.Join();
+  ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+  EXPECT_EQ(routed.sets()[0].items[0].data.ToString(), "not-delayed");
+  EXPECT_EQ(routed.node_name, "nb");
+  EXPECT_TRUE(mesh_still_blocked);
+  EXPECT_LT(elapsed, 2 * dbase::kMicrosPerSecond);
+  EXPECT_TRUE(mesh_returned.load());
+}
+
 // ------------------------------------------------------------- membership
 
 TEST(ClusterNetTest, MembershipSuspectsEvictsAndReadmits) {

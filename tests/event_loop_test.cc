@@ -1,5 +1,6 @@
 // Tests for dbase::EventLoop: fd readiness dispatch, cross-thread Post,
-// one-shot timers with cancellation, and clean Stop semantics.
+// the loop's own (wakeup-free) posts, one-shot timers with cancellation,
+// and clean Stop semantics.
 #include "src/base/event_loop.h"
 
 #include <gtest/gtest.h>
@@ -7,6 +8,8 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <mutex>
+#include <string>
 #include <thread>
 
 #include "src/base/clock.h"
@@ -36,6 +39,75 @@ TEST(EventLoopTest, PostRunsOnLoopThread) {
   loop->Stop();
   thread.Join();
   EXPECT_NE(loop_id, std::this_thread::get_id());
+}
+
+// A closure the loop posts to itself writes no eventfd wakeup; with no fd
+// ready and no timer armed, the loop must still poll instead of blocking.
+TEST(EventLoopTest, SelfPostRunsWithoutReadyFdOrTimer) {
+  auto loop = MustCreate();
+  Latch ran(1);
+  JoiningThread thread("loop", [&] { loop->Run(); });
+  loop->Post([&] {
+    loop->Post([&] {
+      EXPECT_TRUE(loop->IsLoopThread());
+      ran.CountDown();
+    });
+  });
+  EXPECT_TRUE(ran.WaitFor(5 * kMicrosPerSecond));
+  loop->Stop();
+  thread.Join();
+}
+
+// A cross-thread Post that finds the queue non-empty skips its wakeup
+// write; when the loop's own unsignalled post is what made it non-empty,
+// both closures must still run, in post order.
+TEST(EventLoopTest, CrossThreadPostWhileSelfPostPendingRuns) {
+  auto loop = MustCreate();
+  std::mutex order_mu;
+  std::string order;
+  Latch ran(2);
+  auto record = [&](char step) {
+    std::lock_guard<std::mutex> lock(order_mu);
+    order.push_back(step);
+    ran.CountDown();
+  };
+  JoiningThread thread("loop", [&] { loop->Run(); });
+  loop->Post([&] {
+    loop->Post([&] { record('a'); });
+    // Enqueued while the self-post is pending, from a foreign thread.
+    std::thread other([&] { loop->Post([&] { record('b'); }); });
+    other.join();
+  });
+  EXPECT_TRUE(ran.WaitFor(5 * kMicrosPerSecond));
+  loop->Stop();
+  thread.Join();
+  EXPECT_EQ(order, "ab");
+}
+
+// Closures a batch posts to the loop run after the whole batch, in post
+// order, and so do the ones they post in turn.
+TEST(EventLoopTest, SelfPostsDuringABatchRunAfterItInOrder) {
+  auto loop = MustCreate();
+  std::string order;  // Loop thread only until Join.
+  Latch done(1);
+  // Posted before Run(): both land in the loop's first batch.
+  loop->Post([&] {
+    order.push_back('x');
+    loop->Post([&] {
+      order.push_back('1');
+      loop->Post([&] {
+        order.push_back('w');
+        done.CountDown();
+      });
+    });
+    loop->Post([&] { order.push_back('2'); });
+  });
+  loop->Post([&] { order.push_back('z'); });
+  JoiningThread thread("loop", [&] { loop->Run(); });
+  EXPECT_TRUE(done.WaitFor(5 * kMicrosPerSecond));
+  loop->Stop();
+  thread.Join();
+  EXPECT_EQ(order, "xz12w");
 }
 
 TEST(EventLoopTest, FdReadinessDispatched) {

@@ -215,6 +215,51 @@ TEST(FrontendTest, PipelinedRequestsAnsweredInOrder) {
   close(fd);
 }
 
+// A lone invoke, then a 16-deep pipelined burst on one connection, each
+// answered with its own body in request order. With a dispatch pool, the
+// lone request and the burst's first find the frontend idle and are
+// dispatched on the loop thread; the rest of the burst arrives while
+// invocations are in flight and takes the pool.
+void ExpectLoneAndBurstAnswered(uint16_t port) {
+  const int fd = ConnectTo(port);
+  std::string carry;
+  SendAll(fd, RawInvoke("Id", "lone"));
+  auto lone = ReadOneResponse(fd, &carry);
+  ASSERT_TRUE(lone.ok()) << lone.status().ToString();
+  EXPECT_EQ(lone->status_code, 200);
+  EXPECT_EQ(FirstItem(*lone), "lone");
+
+  constexpr int kBurst = 16;
+  std::string burst;
+  for (int i = 0; i < kBurst; ++i) {
+    burst += RawInvoke("Id", "burst-" + std::to_string(i));
+  }
+  SendAll(fd, burst);
+  for (int i = 0; i < kBurst; ++i) {
+    auto response = ReadOneResponse(fd, &carry);
+    ASSERT_TRUE(response.ok()) << "response " << i << ": " << response.status().ToString();
+    EXPECT_EQ(response->status_code, 200);
+    EXPECT_EQ(FirstItem(*response), "burst-" + std::to_string(i));
+  }
+  close(fd);
+}
+
+TEST(FrontendTest, IdleInlineAndBusyPooledDispatchAnswerInOrder) {
+  FrontendConfig config;
+  config.dispatch_threads = 2;
+  FrontendFixture fixture(config);
+  SKIP_WITHOUT_LOOPBACK(fixture);
+  ExpectLoneAndBurstAnswered(fixture.port());
+}
+
+TEST(FrontendTest, DispatchWithoutPoolStaysInline) {
+  FrontendConfig config;
+  config.dispatch_threads = 0;
+  FrontendFixture fixture(config);
+  SKIP_WITHOUT_LOOPBACK(fixture);
+  ExpectLoneAndBurstAnswered(fixture.port());
+}
+
 TEST(FrontendTest, PipelineDeeperThanBackpressureLimitFullyAnswered) {
   // Pipeline more inline-answered requests than the backpressure depth in
   // one write: capacity re-opens as slots complete inline, and every
@@ -544,6 +589,57 @@ TEST(FrontendTest, AdmissionControlShedsWith429) {
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_EQ(again->status_code, 200);
   close(again_fd);
+}
+
+// With both caps off, admission still counts every invocation in and out:
+// the /statz frontend gauges return to 0 after a burst instead of drifting
+// negative.
+TEST(FrontendTest, UncappedAdmissionGaugesReturnToZero) {
+  FrontendConfig config;
+  config.max_inflight_interactive = 0;
+  config.max_inflight_batch = 0;
+  FrontendFixture fixture(config);
+  SKIP_WITHOUT_LOOPBACK(fixture);
+
+  constexpr int kConnections = 3;
+  constexpr int kPerConnection = 8;
+  std::vector<int> fds;
+  for (int c = 0; c < kConnections; ++c) {
+    fds.push_back(ConnectTo(fixture.port()));
+    std::string burst;
+    for (int i = 0; i < kPerConnection; ++i) {
+      burst += RawInvokeWithHeaders(
+          "Id", "x", {{"X-Dandelion-Priority", i % 2 == 0 ? "interactive" : "batch"}});
+    }
+    SendAll(fds.back(), burst);
+  }
+  for (const int fd : fds) {
+    std::string carry;
+    for (int i = 0; i < kPerConnection; ++i) {
+      auto response = ReadOneResponse(fd, &carry);
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      EXPECT_EQ(response->status_code, 200);
+    }
+  }
+
+  // Completions release their gauge before the response is posted, so
+  // every response read means every release happened.
+  std::string carry;
+  SendAll(fds.front(), "GET /statz HTTP/1.1\r\n\r\n");
+  auto statz = ReadOneResponse(fds.front(), &carry);
+  ASSERT_TRUE(statz.ok()) << statz.status().ToString();
+  const size_t frontend = statz->body.find("\"frontend\":{");
+  ASSERT_NE(frontend, std::string::npos) << statz->body;
+  const std::string section = statz->body.substr(frontend);
+  EXPECT_NE(section.find("\"inflight_interactive\":0,"), std::string::npos) << section;
+  EXPECT_NE(section.find("\"inflight_batch\":0,"), std::string::npos) << section;
+  EXPECT_NE(section.find(
+                "\"served\":" + std::to_string(kConnections * kPerConnection) + ","),
+            std::string::npos)
+      << section;
+  for (const int fd : fds) {
+    close(fd);
+  }
 }
 
 TEST(FrontendTest, CompositionsEndpointListsRegisteredNames) {
