@@ -8,6 +8,7 @@
 #include <cstring>
 
 #include "src/base/log.h"
+#include "src/base/thread.h"
 
 namespace dbase {
 namespace {
@@ -76,7 +77,7 @@ void EventLoop::Remove(int fd) {
 
 bool EventLoop::IsLoopThread() const { return current_loop == this; }
 
-void EventLoop::Post(std::function<void()> fn) {
+bool EventLoop::Post(std::function<void()> fn) {
   // The loop's own posts write no wakeup: Run() polls instead of blocking
   // while self_posted_ is set. A foreign post that finds the queue
   // non-empty skips the write too — a wakeup is already in flight, or a
@@ -85,19 +86,38 @@ void EventLoop::Post(std::function<void()> fn) {
   bool need_wake;
   {
     std::lock_guard<std::mutex> lock(posted_mu_);
+    if (finished_) {
+      return false;
+    }
     need_wake = !self && posted_.empty();
     posted_.push_back(std::move(fn));
   }
   if (self) {
     self_posted_ = true;
   }
-  if (!need_wake) {
-    return;
+  if (need_wake) {
+    const uint64_t one = 1;
+    // The eventfd is valid for the EventLoop's whole lifetime; a full
+    // counter (EAGAIN) already guarantees a pending wakeup.
+    [[maybe_unused]] const ssize_t n = write(wakeup_fd_, &one, sizeof(one));
   }
-  const uint64_t one = 1;
-  // The eventfd is valid for the EventLoop's whole lifetime; a full counter
-  // (EAGAIN) already guarantees a pending wakeup.
-  [[maybe_unused]] const ssize_t n = write(wakeup_fd_, &one, sizeof(one));
+  return true;
+}
+
+bool EventLoop::RunAndWait(const std::function<void()>& fn) {
+  if (IsLoopThread()) {
+    fn();
+    return true;
+  }
+  Latch ran(1);
+  if (!Post([&fn, &ran] {
+        fn();
+        ran.CountDown();
+      })) {
+    return false;
+  }
+  ran.Wait();
+  return true;
 }
 
 void EventLoop::Stop() {
@@ -116,11 +136,17 @@ EventLoop::TimerId EventLoop::AddTimer(Micros delay, std::function<void()> fn) {
 
 void EventLoop::CancelTimer(TimerId id) { timers_.erase(id); }
 
-void EventLoop::RunPosted() {
+bool EventLoop::RunPosted(bool finish) {
   std::vector<std::function<void()>> batch;
   {
     std::lock_guard<std::mutex> lock(posted_mu_);
     batch.swap(posted_);
+    if (batch.empty()) {
+      if (finish) {
+        finished_ = true;
+      }
+      return false;
+    }
   }
   // Closures this batch posts to the loop land in posted_ and set the flag
   // again; they run in the next turn, after an epoll_wait that polls.
@@ -128,6 +154,7 @@ void EventLoop::RunPosted() {
   for (auto& fn : batch) {
     fn();
   }
+  return true;
 }
 
 void EventLoop::RunDueTimers(Micros now) {
@@ -191,9 +218,11 @@ void EventLoop::Run() {
     RunPosted();
     RunDueTimers(MonotonicClock::Get()->NowMicros());
   }
-  // A Stop() racing the final wait may leave closures behind; run them so
-  // shutdown work posted just before Stop() is not silently dropped.
-  RunPosted();
+  // Closures posted before the loop finishes all run — shutdown work posted
+  // around Stop() is not silently dropped, and neither is what it posts in
+  // turn. From the moment the queue is found empty, Post() refuses.
+  while (RunPosted(/*finish=*/true)) {
+  }
   current_loop = nullptr;
 }
 

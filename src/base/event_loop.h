@@ -3,9 +3,11 @@
 // posted closures (other threads wake it through an eventfd; the loop's
 // own posts need no wakeup — it polls instead of blocking while they are
 // pending). All fd and timer registration is expected to happen on the
-// loop thread except Post() and Stop(), which are safe from anywhere —
-// async work (engine completions) re-enters the loop by posting a closure
-// rather than touching loop state.
+// loop thread except Post(), RunAndWait() and Stop(), which are safe from
+// anywhere — async work (engine completions) re-enters the loop by posting
+// a closure rather than touching loop state. One loop can carry several
+// owners' sockets: the router's HTTP frontend serves on its NodeClient's
+// loop.
 #ifndef SRC_BASE_EVENT_LOOP_H_
 #define SRC_BASE_EVENT_LOOP_H_
 
@@ -39,7 +41,9 @@ class EventLoop {
   EventLoop& operator=(const EventLoop&) = delete;
 
   // Dispatches events until Stop(). Runs posted closures and due timers
-  // between epoll waits.
+  // between epoll waits. On the way out it runs posted closures until none
+  // are left, including those they post in turn; then the loop is finished
+  // and refuses further posts.
   void Run();
   // Thread-safe; wakes the loop and makes Run() return after the current
   // iteration finishes. Idempotent.
@@ -58,8 +62,16 @@ class EventLoop {
   // Thread-safe: enqueues fn to run on the loop thread and wakes the loop.
   // From the loop thread itself no wakeup is written: fn runs after the
   // current batch of events, posted closures and timers, in post order.
-  // Closures posted after Stop() are retained but never run.
-  void Post(std::function<void()> fn);
+  // Returns true when fn will run. Once Run() has finished, fn is dropped
+  // and false is returned — the caller knows the loop thread will never
+  // touch what fn would have, and may do that work itself.
+  bool Post(std::function<void()> fn);
+
+  // Runs fn on the loop thread and returns once it has run; from the loop
+  // thread itself fn runs inline. Returns false, without running fn, when
+  // the loop has finished. The loop must be running or finished: on a loop
+  // whose Run() has not started yet, this waits until it does.
+  bool RunAndWait(const std::function<void()>& fn);
 
   // One-shot timer: fn runs on the loop thread once, ~delay from now.
   // Returns an id usable with CancelTimer; ids are never reused.
@@ -73,7 +85,10 @@ class EventLoop {
  private:
   EventLoop(int epoll_fd, int wakeup_fd);
 
-  void RunPosted();
+  // Runs the closures posted so far. Returns false when there were none;
+  // with `finish`, that also marks the loop finished, atomically with the
+  // empty check, so no post can slip in between.
+  bool RunPosted(bool finish = false);
   void RunDueTimers(Micros now);
   // Milliseconds until the next timer is due (for epoll_wait), or -1 to
   // block indefinitely.
@@ -104,6 +119,7 @@ class EventLoop {
   // Cross-thread state.
   std::mutex posted_mu_;
   std::vector<std::function<void()>> posted_;
+  bool finished_ = false;  // Guarded by posted_mu_; see Post().
   std::atomic<bool> stopped_{false};
 };
 

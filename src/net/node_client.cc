@@ -19,7 +19,8 @@ dbase::Status NodeClient::Start() {
   }
   ASSIGN_OR_RETURN(loop_, dbase::EventLoop::Create());
   running_.store(true, std::memory_order_relaxed);
-  loop_thread_ = std::make_unique<dbase::JoiningThread>("dnet-client", [this] { loop_->Run(); });
+  loop_thread_ =
+      std::make_unique<dbase::JoiningThread>("dnet-client", [loop = loop_] { loop->Run(); });
   return dbase::OkStatus();
 }
 
@@ -27,8 +28,7 @@ void NodeClient::Stop() {
   if (!running_.exchange(false, std::memory_order_relaxed)) {
     return;
   }
-  dbase::Latch drained(1);
-  loop_->Post([this, &drained] {
+  loop_->RunAndWait([this] {
     // Closing each socket fails its pending requests through
     // OnPeerClosed, so blocked callers wake with "peer lost".
     for (auto& [name, peer] : peers_) {
@@ -37,14 +37,13 @@ void NodeClient::Stop() {
         peer.socket->Close(dbase::Unavailable("client stopping"));
       }
     }
-    drained.CountDown();
   });
-  drained.Wait();
   loop_->Stop();
   loop_thread_.reset();
   peers_.clear();
   pending_.clear();
-  loop_.reset();
+  // loop_ stays (finished): co-owners such as a frontend serving on it
+  // still hold it, and later posts are refused rather than parked.
 }
 
 void NodeClient::AddPeer(const std::string& name, uint16_t port) {
@@ -318,8 +317,20 @@ void NodeClient::InvokeAsync(const std::string& peer, WireInvoke invoke,
   });
 }
 
+dbase::Status NodeClient::CheckMayBlock() const {
+  if (!running_.load(std::memory_order_relaxed)) {
+    return dbase::FailedPrecondition("NodeClient not started");
+  }
+  if (loop_->IsLoopThread()) {
+    return dbase::FailedPrecondition(
+        "blocking NodeClient call on its own loop thread would deadlock");
+  }
+  return dbase::OkStatus();
+}
+
 dbase::Result<WireOutcome> NodeClient::Invoke(const std::string& peer, WireInvoke invoke,
                                               dbase::Micros timeout_us) {
+  RETURN_IF_ERROR(CheckMayBlock());
   struct Shared {
     dbase::Latch latch{1};
     dbase::Result<WireOutcome> result{dbase::Unavailable("unset")};
@@ -338,9 +349,7 @@ dbase::Result<dbase::BufferSlice> NodeClient::RawRequest(const std::string& peer
                                                          FrameType type, std::string body,
                                                          FrameType expect,
                                                          dbase::Micros timeout_us) {
-  if (!running_.load(std::memory_order_relaxed)) {
-    return dbase::FailedPrecondition("NodeClient not started");
-  }
+  RETURN_IF_ERROR(CheckMayBlock());
   struct Shared {
     dbase::Latch latch{1};
     dbase::Result<dbase::BufferSlice> result{dbase::Unavailable("unset")};

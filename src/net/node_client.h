@@ -1,10 +1,13 @@
 // NodeClient: the router/frontend side of the dnet wire. One EventLoop
 // thread multiplexes a pooled connection per peer; callers on any thread
 // issue invokes (async or blocking), gossip probes, cancels, and mesh
-// calls. A connection is (re)established lazily on first use and failures
-// fail fast: every request pending on a dead connection completes with
-// kUnavailable ("peer lost") so the layer above (Cluster) can map it to
-// the retry-eligible FailureKind and re-route.
+// calls. The loop is shared: the router's HTTP frontend registers its own
+// sockets on it (see loop()), so HTTP parsing, the invoke send and the
+// outcome decode all run on one thread. A connection is (re)established
+// lazily on first use and failures fail fast: every request pending on a
+// dead connection completes with kUnavailable ("peer lost") so the layer
+// above (Cluster) can map it to the retry-eligible FailureKind and
+// re-route.
 #ifndef SRC_NET_NODE_CLIENT_H_
 #define SRC_NET_NODE_CLIENT_H_
 
@@ -57,6 +60,13 @@ class NodeClient {
   dbase::Status Start();
   void Stop();
 
+  // The reactor every peer connection runs on: null before Start(). Other
+  // owners may register their own fds on it (loop-thread rules apply) and
+  // share ownership, so it outlives the client. After Stop() it is a
+  // finished loop that refuses posts; a later Start() makes a new one.
+  // Not synchronized with Start().
+  std::shared_ptr<dbase::EventLoop> loop() const { return loop_; }
+
   // Peer table (thread-safe). Adding an existing name updates its port
   // and drops any stale connection.
   void AddPeer(const std::string& name, uint16_t port);
@@ -70,7 +80,10 @@ class NodeClient {
   // invoke). timeout_us <= 0 means no client-side timer. Thread-safe.
   void InvokeAsync(const std::string& peer, WireInvoke invoke, dbase::Micros timeout_us,
                    OutcomeCallback callback);
-  // Blocking wrapper over InvokeAsync.
+  // Blocking wrapper over InvokeAsync. The blocking calls (Invoke, Gossip,
+  // MeshCall) wait for a reply only the loop can deliver, so on the loop
+  // thread itself they return kFailedPrecondition at once instead of
+  // hanging it — and with it every socket on the loop.
   dbase::Result<WireOutcome> Invoke(const std::string& peer, WireInvoke invoke,
                                     dbase::Micros timeout_us);
 
@@ -119,13 +132,15 @@ class NodeClient {
   void OnFrame(const std::string& peer, const FrameHeader& header, dbase::BufferSlice body);
   void OnPeerClosed(const std::string& peer, const dbase::Status& reason);
   void FailPending(uint64_t request_id, const dbase::Status& status);
+  // kFailedPrecondition when a blocking call would wait on its own loop.
+  dbase::Status CheckMayBlock() const;
   // Blocking request helper for gossip/mesh.
   dbase::Result<dbase::BufferSlice> RawRequest(const std::string& peer, FrameType type,
                                                std::string body, FrameType expect,
                                                dbase::Micros timeout_us);
 
   Config config_;
-  std::unique_ptr<dbase::EventLoop> loop_;
+  std::shared_ptr<dbase::EventLoop> loop_;
   std::unique_ptr<dbase::JoiningThread> loop_thread_;
   std::atomic<bool> running_{false};
 

@@ -121,6 +121,11 @@ dbase::Status Cluster::AddRemoteNode(const std::string& name, uint16_t port) {
   return dbase::OkStatus();
 }
 
+std::shared_ptr<dbase::EventLoop> Cluster::reactor() const {
+  std::lock_guard<std::mutex> lock(nodes_mu_);
+  return client_ != nullptr ? client_->loop() : nullptr;
+}
+
 Platform& Cluster::node(int index) {
   std::lock_guard<std::mutex> lock(nodes_mu_);
   return *nodes_[static_cast<size_t>(index)]->platform;
@@ -620,11 +625,16 @@ void Cluster::Shutdown() {
   }
   gossip_cv_.notify_all();
   gossip_thread_.reset();
+  dnet::NodeClient* client = nullptr;
   {
     std::lock_guard<std::mutex> lock(nodes_mu_);
-    if (client_ != nullptr) {
-      client_->Stop();
-    }
+    client = client_.get();
+  }
+  // Stopped outside nodes_mu_: the stop waits for the reactor, and work on
+  // the reactor takes that lock — a peer-lost re-route picking a node, a
+  // frontend serving on it dispatching or answering /statz.
+  if (client != nullptr) {
+    client->Stop();
   }
   for (Platform* platform : Locals()) {
     platform->Shutdown();

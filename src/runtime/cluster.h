@@ -154,6 +154,14 @@ class Cluster {
   };
   std::vector<CoreSplit> CoreSplits() const;
 
+  // The router's wire reactor: the NodeClient's loop, on which every dnet
+  // connection runs. Null while no remote node has ever joined. An
+  // HttpFrontend attached to this cluster serves its HTTP sockets on it,
+  // so a remote invoke goes from HTTP parse to wire send and from outcome
+  // decode to HTTP write without a thread hand-off. After Shutdown() it is
+  // a finished loop that refuses posts.
+  std::shared_ptr<dbase::EventLoop> reactor() const;
+
   // One synchronous gossip + membership round (the background loop runs
   // this on gossip_interval_us; tests call it directly).
   void GossipNow();

@@ -191,27 +191,24 @@ dbase::Status HttpFrontend::Start() {
   getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
   port_ = ntohs(addr.sin_port);
 
-  auto loop = dbase::EventLoop::Create();
-  if (!loop.ok()) {
-    close(listen_fd_);
-    listen_fd_ = -1;
-    return loop.status();
-  }
-  loop_ = std::move(loop).value();
-  const dbase::Status added = loop_->Add(listen_fd_, EPOLLIN, [this](uint32_t) { OnAcceptable(); });
-  if (!added.ok()) {
-    close(listen_fd_);
-    listen_fd_ = -1;
-    loop_.reset();
-    return added;
-  }
-
   int dispatch_threads = config_.dispatch_threads;
   if (dispatch_threads < 0) {
     dispatch_threads = std::thread::hardware_concurrency() > 2 ? 2 : 0;
   }
   if (dispatch_threads > 0) {
     dispatch_pool_ = std::make_unique<dbase::WorkerPool>(dispatch_threads, "frontend-dispatch");
+  }
+  // A fresh token: closures left over from an earlier Start() keep the
+  // cleared one and stay no-ops.
+  alive_ = std::make_shared<bool>(true);
+  running_.store(true);
+  if (const dbase::Status served = ServeOnLoop(); !served.ok()) {
+    running_.store(false);
+    dispatch_pool_.reset();
+    loop_.reset();
+    close(listen_fd_);
+    listen_fd_ = -1;
+    return served;
   }
   // Feed the admission-control counters into the elasticity control plane's
   // per-tick snapshot: 429s only — deadline expiries are already counted by
@@ -243,7 +240,23 @@ dbase::Status HttpFrontend::Start() {
           }
         });
   }
-  running_.store(true);
+  return dbase::OkStatus();
+}
+
+dbase::Status HttpFrontend::ServeOnLoop() {
+  const auto on_accept = [this](uint32_t) { OnAcceptable(); };
+  // Borrow the router's reactor: listener and connections then share the
+  // loop thread with the dnet sockets, and no frontend thread runs. loop_
+  // is set before the listener goes live — the accept path reads it.
+  loop_ = cluster_ != nullptr ? cluster_->reactor() : nullptr;
+  dbase::Status added;
+  if (loop_ != nullptr &&
+      loop_->RunAndWait([&] { added = loop_->Add(listen_fd_, EPOLLIN, on_accept); })) {
+    return added;
+  }
+  // No cluster, no remote node, or a cluster already shut down: own a loop.
+  ASSIGN_OR_RETURN(loop_, dbase::EventLoop::Create());
+  RETURN_IF_ERROR(loop_->Add(listen_fd_, EPOLLIN, on_accept));
   loop_thread_ = dbase::JoiningThread("frontend", [loop = loop_] { loop->Run(); });
   return dbase::OkStatus();
 }
@@ -252,24 +265,45 @@ void HttpFrontend::Stop() {
   if (!running_.exchange(false)) {
     return;
   }
-  loop_->Stop();
-  loop_thread_.Join();
+  // One teardown path: the sockets close on the loop thread, where every
+  // other touch of them happens. A loop that has already finished (the
+  // cluster shut down first) will never run the teardown, and no longer
+  // touches frontend state, so it runs right here instead.
+  if (!loop_->RunAndWait([this] { TearDown(); })) {
+    TearDown();
+  }
+  if (loop_thread_.joinable()) {
+    loop_->Stop();
+    loop_thread_.Join();
+  }
   if (dispatch_pool_ != nullptr) {
-    // Drains queued dispatches; their completions post into the (stopped)
-    // loop and are simply never run.
+    // Drains queued dispatches; their completions land after TearDown()
+    // and find the alive token cleared.
     dispatch_pool_->Shutdown();
     dispatch_pool_.reset();
   }
-  // The loop thread is gone; tear the remaining sockets down directly.
+  loop_.reset();
+}
+
+void HttpFrontend::TearDown() {
+  *alive_ = false;
+  loop_->Remove(listen_fd_);
+  close(listen_fd_);
+  listen_fd_ = -1;
   for (auto& [fd, conn] : connections_) {
+    loop_->CancelTimer(conn->idle_timer);
+    loop_->Remove(fd);
     close(fd);
     conn->fd = -1;
   }
   connections_.clear();
-  if (listen_fd_ >= 0) {
-    close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  dirty_connections_.clear();
+  flush_scheduled_ = false;
+  // Completions of invokes still in flight will never be applied; a later
+  // Start() begins idle, with empty budgets.
+  invokes_pending_ = 0;
+  total_buffered_bytes_ = 0;
+  total_response_bytes_ = 0;
 }
 
 void HttpFrontend::OnAcceptable() {
@@ -293,11 +327,8 @@ void HttpFrontend::OnAcceptable() {
       // spin the loop at 100% CPU. Mute the listener briefly and retry
       // once descriptors may have freed.
       (void)loop_->Modify(listen_fd_, 0);
-      loop_->AddTimer(50 * dbase::kMicrosPerMilli, [this] {
-        if (running_.load(std::memory_order_relaxed)) {
-          (void)loop_->Modify(listen_fd_, EPOLLIN);
-        }
-      });
+      loop_->AddTimer(50 * dbase::kMicrosPerMilli,
+                      WhileAlive([this] { (void)loop_->Modify(listen_fd_, EPOLLIN); }));
       return;
     }
     if (connections_.size() >= config_.max_connections) {
@@ -681,13 +712,13 @@ void HttpFrontend::DispatchInvoke(const std::weak_ptr<Connection>& weak_conn, co
   invocation.deadline_us = deadline_us;
   invocation.priority = priority;
 
-  // The completion runs on an engine thread, possibly after Stop() — it
-  // captures the loop shared_ptr and the counters block itself (keeping
-  // both alive until the last completion lands) and must not read frontend
-  // members. The posted closure only ever runs on a live loop, which
-  // implies a live frontend (Stop() joins the loop thread before
-  // destruction).
-  auto completion = [this, loop = loop_, counters, class_index, weak_conn,
+  // The completion runs on an engine thread or the router's reactor,
+  // possibly after Stop() and after the frontend is gone — it captures the
+  // loop, the alive token and the counters block itself (keeping them
+  // alive until the last completion lands) and must not read frontend
+  // members. A live loop does not imply a live frontend (the loop may be
+  // the cluster's), so the posted closure checks the token first.
+  auto completion = [this, loop = loop_, alive = alive_, counters, class_index, weak_conn,
                      slot](dbase::Result<dfunc::DataSetList> result) {
     counters->inflight[class_index].fetch_sub(1, std::memory_order_relaxed);
     counters->served.fetch_add(1, std::memory_order_relaxed);
@@ -696,8 +727,10 @@ void HttpFrontend::DispatchInvoke(const std::weak_ptr<Connection>& weak_conn, co
       counters->deadline_504.fetch_add(1, std::memory_order_relaxed);
     }
     WireChunks bytes = InvocationResponseWire(std::move(result));
-    loop->Post([this, weak_conn, slot, bytes = std::move(bytes)]() mutable {
-      ApplySlotCompletion(weak_conn, slot, std::move(bytes));
+    loop->Post([this, alive, weak_conn, slot, bytes = std::move(bytes)]() mutable {
+      if (*alive) {
+        ApplySlotCompletion(weak_conn, slot, std::move(bytes));
+      }
     });
   };
   InvocationHandle handle;
@@ -728,9 +761,9 @@ void HttpFrontend::DispatchInvoke(const std::weak_ptr<Connection>& weak_conn, co
 
 void HttpFrontend::PostSlotCompletion(const std::weak_ptr<Connection>& weak_conn,
                                       const SlotPtr& slot, WireChunks bytes) {
-  loop_->Post([this, weak_conn, slot, bytes = std::move(bytes)]() mutable {
+  loop_->Post(WhileAlive([this, weak_conn, slot, bytes = std::move(bytes)]() mutable {
     ApplySlotCompletion(weak_conn, slot, std::move(bytes));
-  });
+  }));
 }
 
 void HttpFrontend::ApplySlotCompletion(const std::weak_ptr<Connection>& weak_conn,
@@ -755,7 +788,7 @@ void HttpFrontend::ApplySlotCompletion(const std::weak_ptr<Connection>& weak_con
   dirty_connections_.push_back(locked);
   if (!flush_scheduled_) {
     flush_scheduled_ = true;
-    loop_->Post([this] { FlushDirtyConnections(); });
+    loop_->Post(WhileAlive([this] { FlushDirtyConnections(); }));
   }
 }
 

@@ -1,6 +1,8 @@
 // HTTP frontend (Figure 4): "manages client communication, handling
 // requests for composition/function registration and invocation". An
-// epoll-driven HTTP/1.1 server on a single event-loop thread:
+// epoll-driven HTTP/1.1 server on one event loop — its own `frontend`
+// thread, or, in front of a cluster with remote nodes, the router's wire
+// reactor (see AttachCluster):
 //
 //   POST /invoke/<composition>      body: marshalled DataSetList (binary) or
 //                                   plain text (becomes the first param's
@@ -22,9 +24,10 @@
 //
 // Connections are non-blocking with keep-alive and pipelining: requests are
 // parsed incrementally as bytes arrive, invocations are dispatched through
-// Platform::InvokeAsync, and each completion is posted back to the loop and
-// written out in request order — the loop thread never blocks on engine
-// work, so one slow invocation cannot stall other connections.
+// Platform::Submit (or Cluster::InvokeAsync), and each completion is posted
+// back to the loop and written out in request order — the loop thread never
+// blocks on engine or wire work, so one slow invocation cannot stall other
+// connections.
 // Responses carry marshalled DataSetList bodies for invocations.
 #ifndef SRC_RUNTIME_FRONTEND_H_
 #define SRC_RUNTIME_FRONTEND_H_
@@ -32,6 +35,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -128,16 +132,28 @@ class HttpFrontend {
   HttpFrontend(const HttpFrontend&) = delete;
   HttpFrontend& operator=(const HttpFrontend&) = delete;
 
-  // Binds, listens, and starts the event-loop thread.
+  // Binds, listens, and starts serving: on the attached cluster's reactor
+  // when it has one running, else on an event-loop thread of its own.
   dbase::Status Start();
+  // Closes the listener and every connection on the loop thread; an owned
+  // loop is then stopped and joined. Completions still in flight land as
+  // no-ops. Start() may be called again afterwards.
   void Stop();
 
   // Routes invokes through a cluster (locality-aware dispatch + cross-node
   // shedding over the dnet wire) instead of submitting straight to the
   // local platform. The attached platform keeps serving registration,
-  // statz and signals. Call before Start(); the cluster must outlive the
-  // frontend. /statz grows a "cluster" section with per-peer wire and
-  // membership counters.
+  // statz and signals. /statz grows a "cluster" section with per-peer wire
+  // and membership counters.
+  //
+  // When the cluster has remote nodes, Start() serves on its reactor
+  // (Cluster::reactor()) instead of starting a thread: HTTP sockets and
+  // dnet connections share one loop, so a remote invoke is parsed, sent,
+  // answered and written without a thread hand-off. Contract: call before
+  // Start(); the cluster must outlive the frontend; stop the frontend
+  // before Cluster::Shutdown(). The reverse order is safe — Stop() and the
+  // destructor still return, tearing down directly on the finished loop —
+  // but the frontend stops serving the moment the cluster shuts down.
   void AttachCluster(Cluster* cluster) { cluster_ = cluster; }
 
   uint16_t port() const { return port_; }
@@ -199,6 +215,26 @@ class HttpFrontend {
   using ConnectionPtr = std::shared_ptr<Connection>;
   using SlotPtr = std::shared_ptr<Connection::ResponseSlot>;
 
+  // Registers the listener on the cluster's reactor when it is running,
+  // else on a new loop with a thread of its own (Start() helper).
+  dbase::Status ServeOnLoop();
+  // Stop()'s socket teardown: runs on the loop thread, or on the caller's
+  // once the loop has finished. Clears the alive token.
+  void TearDown();
+  // Wraps a loop closure or timer that captures `this` so it runs only
+  // while the Start() that queued it is still serving: on a borrowed loop,
+  // posts and timers can outlive Stop() and the frontend itself.
+  // Per-connection timers need no wrapper: they reach the frontend only
+  // through a connection that is still open, and TearDown() closes all.
+  template <typename Fn>
+  std::function<void()> WhileAlive(Fn fn) const {
+    return [alive = alive_, fn = std::move(fn)]() mutable {
+      if (*alive) {
+        fn();
+      }
+    };
+  }
+
   // All of the below run on the loop thread.
   void OnAcceptable();
   void OnConnectionEvent(const ConnectionPtr& conn, uint32_t events);
@@ -224,7 +260,7 @@ class HttpFrontend {
   // Thread-safe slot completion: fills the slot and posts the flush (and
   // any backpressure-resumed parsing) onto the loop thread. Safe from
   // dispatch-pool threads (drained before the frontend dies); engine-side
-  // callers that may outlive Stop() capture loop_ themselves instead.
+  // callers that may outlive Stop() capture loop_ and alive_ themselves.
   void PostSlotCompletion(const std::weak_ptr<Connection>& weak_conn, const SlotPtr& slot,
                           WireChunks bytes);
   // Loop-thread half of a completion: marks the slot ready and queues the
@@ -272,9 +308,13 @@ class HttpFrontend {
   uint16_t port_;
   int listen_fd_ = -1;
   std::atomic<bool> running_{false};
-  // Shared with async completion callbacks: they Post() into the loop and
-  // must keep it alive even if the frontend is torn down first.
+  // The loop serving this frontend: its own, or the attached cluster's
+  // reactor. Shared with async completion callbacks: they Post() into the
+  // loop and must keep it alive even if the frontend is torn down first.
   std::shared_ptr<dbase::EventLoop> loop_;
+  // Alive token, one per Start(): true until TearDown(). Read and written
+  // on the loop thread only; closures copy the pointer (see WhileAlive).
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(false);
   std::unordered_map<int, ConnectionPtr> connections_;  // Loop thread only.
   std::vector<ConnectionPtr> dirty_connections_;        // Loop thread only.
   bool flush_scheduled_ = false;                        // Loop thread only.
@@ -296,6 +336,7 @@ class HttpFrontend {
   // once, even across Start/Stop cycles; unregistered in the destructor).
   bool signals_registered_ = false;
   uint64_t signal_source_id_ = 0;
+  // Runs an owned loop; not joinable while serving on a borrowed one.
   dbase::JoiningThread loop_thread_;
 };
 

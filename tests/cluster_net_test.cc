@@ -4,8 +4,10 @@
 // zero-copy accounting, cross-node shedding, peer-loss absorption via the
 // retry taxonomy, gossip-driven membership (suspect → evict → rejoin),
 // mesh calls carried over the wire, protocol hygiene against hostile
-// frames, and the statz cluster section.
+// frames, the statz cluster section, and the HTTP frontend serving on the
+// router's wire reactor.
 #include <arpa/inet.h>
+#include <dirent.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <signal.h>
@@ -15,7 +17,11 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <functional>
 #include <optional>
 #include <string>
 #include <thread>
@@ -699,22 +705,34 @@ void HttpSendAll(int fd, const std::string& data) {
   }
 }
 
-dbase::Result<dhttp::HttpResponse> ReadOneHttpResponse(int fd) {
+// Reads `count` pipelined responses off fd, in wire order.
+dbase::Result<std::vector<dhttp::HttpResponse>> ReadHttpResponses(int fd, size_t count) {
+  std::vector<dhttp::HttpResponse> responses;
   std::string carry;
   char buffer[8192];
-  while (true) {
+  while (responses.size() < count) {
     auto head = dhttp::ScanMessageHead(carry, 1 << 20);
     if (!head.ok()) return head.status();
     if (head->has_value()) {
       const size_t total = (*head)->head_bytes + static_cast<size_t>((*head)->content_length);
       if (carry.size() >= total) {
-        return dhttp::ParseResponse(std::string_view(carry).substr(0, total));
+        ASSIGN_OR_RETURN(dhttp::HttpResponse response,
+                         dhttp::ParseResponse(std::string_view(carry).substr(0, total)));
+        responses.push_back(std::move(response));
+        carry.erase(0, total);
+        continue;
       }
     }
     const ssize_t n = read(fd, buffer, sizeof(buffer));
     if (n <= 0) return dbase::Unavailable("connection closed mid-response");
     carry.append(buffer, static_cast<size_t>(n));
   }
+  return responses;
+}
+
+dbase::Result<dhttp::HttpResponse> ReadOneHttpResponse(int fd) {
+  ASSIGN_OR_RETURN(std::vector<dhttp::HttpResponse> responses, ReadHttpResponses(fd, 1));
+  return std::move(responses.front());
 }
 
 TEST(ClusterNetTest, StatzReportsClusterSection) {
@@ -771,6 +789,245 @@ TEST(ClusterNetTest, StatzReportsClusterSection) {
     EXPECT_NE(body.find("\"bytes_sent\":"), std::string::npos);
   }
   frontend.Stop();
+}
+
+// --------------------------------------------------------- shared reactor
+
+// Runs fn on a helper thread and waits at most `bound` for it. A hung call
+// cannot be interrupted, so a timeout ends the binary with a failure rather
+// than leaving it to ctest's timeout.
+void ExpectReturnsWithin(dbase::Micros bound, const char* what, const std::function<void()>& fn) {
+  dbase::Latch returned(1);
+  dbase::JoiningThread caller("bounded-call", [&] {
+    fn();
+    returned.CountDown();
+  });
+  if (!returned.WaitFor(bound)) {
+    ADD_FAILURE() << what << " did not return within " << bound << " us";
+    std::fflush(stdout);
+    std::_Exit(1);
+  }
+}
+
+// Threads of this process whose name is exactly `name`.
+int ThreadsNamed(const std::string& name) {
+  int count = 0;
+  DIR* tasks = opendir("/proc/self/task");
+  if (tasks == nullptr) {
+    return -1;
+  }
+  while (const dirent* entry = readdir(tasks)) {
+    if (entry->d_name[0] == '.') {
+      continue;
+    }
+    std::ifstream comm(std::string("/proc/self/task/") + entry->d_name + "/comm");
+    std::string comm_name;
+    if (std::getline(comm, comm_name) && comm_name == name) {
+      ++count;
+    }
+  }
+  closedir(tasks);
+  return count;
+}
+
+std::string RawInvokeWire(const std::string& composition, const std::string& body) {
+  dhttp::HttpRequest request;
+  request.method = dhttp::Method::kPost;
+  request.target = "/invoke/" + composition;
+  request.headers.Add("X-Dandelion-Raw", "1");
+  request.body = body;
+  return request.Serialize();
+}
+
+// The item an invocation response carries back.
+std::string ResponseItem(const dhttp::HttpResponse& response) {
+  auto sets = dfunc::UnmarshalSets(response.body);
+  if (!sets.ok() || sets->empty() || (*sets)[0].items.empty()) {
+    return "<" + std::to_string(response.status_code) + ": " + response.body + ">";
+  }
+  return (*sets)[0].items[0].data.ToString();
+}
+
+// A router process in miniature: the Cluster routing to remote engine
+// nodes, and an HttpFrontend in front of it holding the composition
+// catalog. Member order is teardown order: frontend, platform, cluster.
+struct RouterStack {
+  explicit RouterStack(std::vector<Cluster::RemoteNode> remotes)
+      : cluster(RemoteClusterConfig(std::move(remotes), LoadBalancePolicy::kRoundRobin)),
+        platform(FastPlatformConfig()),
+        frontend(std::make_unique<HttpFrontend>(&platform, FrontendConfig{})) {
+    EXPECT_TRUE(platform.RegisterFunction({.name = "echo", .body = dfunc::EchoFunction}).ok());
+    EXPECT_TRUE(platform.RegisterCompositionDsl(kNodeDsl).ok());
+    frontend->AttachCluster(&cluster);
+    started = frontend->Start();
+  }
+
+  // One raw-mode invoke on a fresh connection; the echoed item or an error.
+  std::string InvokeOnce(const std::string& composition, const std::string& body) {
+    const int fd = BlockingConnect(frontend->port());
+    HttpSendAll(fd, RawInvokeWire(composition, body));
+    auto response = ReadOneHttpResponse(fd);
+    close(fd);
+    return response.ok() ? ResponseItem(*response) : response.status().ToString();
+  }
+
+  Cluster cluster;
+  Platform platform;
+  std::unique_ptr<HttpFrontend> frontend;
+  dbase::Status started;
+};
+
+#define SKIP_UNLESS_STARTED(stack)                                              \
+  if (!(stack).started.ok()) {                                                  \
+    GTEST_SKIP() << "loopback sockets unavailable: " << (stack).started.ToString(); \
+  }
+
+// The blocking calls wait on a reply only the client's loop can deliver:
+// made from that loop's own thread they must fail at once, not hang it.
+TEST(ClusterNetTest, BlockingClientCallsOnItsOwnLoopFailFast) {
+  AgentNode node(NodeAgentConfig{.node_name = "nl"});
+  SKIP_WITHOUT_LOOPBACK(node);
+  dnet::NodeClient client(dnet::NodeClient::Config{});
+  ASSERT_TRUE(client.Start().ok());
+  client.AddPeer("nl", node.port());
+  ASSERT_TRUE(client.Gossip("nl", dbase::kMicrosPerSecond).ok());
+
+  dbase::Status invoked;
+  dbase::Status gossiped;
+  dbase::Status meshed;
+  ExpectReturnsWithin(5 * dbase::kMicrosPerSecond, "blocking calls on the client's loop", [&] {
+    dbase::Latch ran(1);
+    client.loop()->Post([&] {
+      dnet::WireInvoke invoke;
+      invoke.composition = "Id";
+      invoke.args = EchoArgs("never sent");
+      invoked = client.Invoke("nl", std::move(invoke), dbase::kMicrosPerSecond).status();
+      gossiped = client.Gossip("nl", dbase::kMicrosPerSecond).status();
+      meshed = client.MeshCall("nl", "GET / HTTP/1.1\r\n\r\n", dbase::kMicrosPerSecond)
+                   .status();
+      ran.CountDown();
+    });
+    ran.Wait();
+  });
+  EXPECT_EQ(invoked.code(), dbase::StatusCode::kFailedPrecondition) << invoked.ToString();
+  EXPECT_EQ(gossiped.code(), dbase::StatusCode::kFailedPrecondition) << gossiped.ToString();
+  EXPECT_EQ(meshed.code(), dbase::StatusCode::kFailedPrecondition) << meshed.ToString();
+  // The loop kept serving: the same calls work from a foreign thread.
+  EXPECT_TRUE(client.Gossip("nl", dbase::kMicrosPerSecond).ok());
+}
+
+// With remote nodes the frontend serves on the router's wire reactor and
+// starts no thread of its own; a lone request and a 16-deep pipelined
+// burst spread over two nodes come back correct and in request order.
+TEST(ClusterNetTest, FrontendServesOnTheRoutersReactor) {
+  AgentNode a(NodeAgentConfig{.node_name = "na"});
+  AgentNode b(NodeAgentConfig{.node_name = "nb"});
+  SKIP_WITHOUT_LOOPBACK(a);
+  SKIP_WITHOUT_LOOPBACK(b);
+  RouterStack stack({{"na", a.port()}, {"nb", b.port()}});
+  SKIP_UNLESS_STARTED(stack);
+  ASSERT_NE(stack.cluster.reactor(), nullptr);
+  EXPECT_EQ(ThreadsNamed("frontend"), 0);
+  EXPECT_EQ(ThreadsNamed("dnet-client"), 1);
+
+  EXPECT_EQ(stack.InvokeOnce("Id", "lone"), "lone");
+
+  constexpr int kBurst = 16;
+  std::string burst;
+  for (int i = 0; i < kBurst; ++i) {
+    burst += RawInvokeWire("Id", "burst-" + std::to_string(i));
+  }
+  const int fd = BlockingConnect(stack.frontend->port());
+  HttpSendAll(fd, burst);
+  auto responses = ReadHttpResponses(fd, kBurst);
+  close(fd);
+  ASSERT_TRUE(responses.ok()) << responses.status().ToString();
+  for (int i = 0; i < kBurst; ++i) {
+    const dhttp::HttpResponse& response = (*responses)[static_cast<size_t>(i)];
+    EXPECT_EQ(response.status_code, 200) << i;
+    EXPECT_EQ(ResponseItem(response), "burst-" + std::to_string(i));
+  }
+  EXPECT_GT(a.agent().invocations_served(), 0u);
+  EXPECT_GT(b.agent().invocations_served(), 0u);
+}
+
+// Stopping and destroying the frontend while remote invokes are in flight
+// leaves their outcomes to land on the still-running reactor afterwards:
+// they must find the frontend's alive token cleared and touch nothing of
+// it (the sanitizer build turns a slip into a use-after-free report).
+TEST(ClusterNetTest, FrontendGoneBeforeRemoteOutcomesLand) {
+  AgentNode node(NodeAgentConfig{.node_name = "ns"});
+  SKIP_WITHOUT_LOOPBACK(node);
+  RouterStack stack({{"ns", node.port()}});
+  SKIP_UNLESS_STARTED(stack);
+
+  constexpr int kInFlight = 2;
+  std::vector<int> fds;
+  for (int i = 0; i < kInFlight; ++i) {
+    fds.push_back(BlockingConnect(stack.frontend->port()));
+    HttpSendAll(fds.back(), RawInvokeWire("Nap", "late-" + std::to_string(i)));
+  }
+  const auto started = [&] {
+    return node.platform().dispatcher_stats().invocations_started >= kInFlight;
+  };
+  for (int i = 0; i < 1000 && !started(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_TRUE(started());
+  ASSERT_EQ(node.agent().invocations_served(), 0u) << "the naps finished before the stop";
+
+  stack.frontend->Stop();
+  stack.frontend.reset();
+
+  for (int i = 0; i < 2500 && node.agent().invocations_served() < kInFlight; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(node.agent().invocations_served(), static_cast<uint64_t>(kInFlight));
+  // A round trip on the same connection queues behind the late outcomes:
+  // once it is back, the reactor has handled all of them.
+  auto routed = stack.cluster.Invoke({.composition = "Id", .args = EchoArgs("after")});
+  ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+  EXPECT_EQ(routed.sets()[0].items[0].data.ToString(), "after");
+  for (const int fd : fds) {
+    close(fd);
+  }
+}
+
+// Start, Stop, Start again on the borrowed reactor: the frontend serves
+// again, still without a thread of its own.
+TEST(ClusterNetTest, FrontendRestartsOnTheBorrowedReactor) {
+  AgentNode node(NodeAgentConfig{.node_name = "nr"});
+  SKIP_WITHOUT_LOOPBACK(node);
+  RouterStack stack({{"nr", node.port()}});
+  SKIP_UNLESS_STARTED(stack);
+  EXPECT_EQ(stack.InvokeOnce("Id", "first"), "first");
+  stack.frontend->Stop();
+  EXPECT_FALSE(stack.frontend->running());
+  ASSERT_TRUE(stack.frontend->Start().ok());
+  EXPECT_EQ(ThreadsNamed("frontend"), 0);
+  EXPECT_EQ(stack.InvokeOnce("Id", "second"), "second");
+  EXPECT_EQ(node.agent().invocations_served(), 2u);
+}
+
+// The reverse of the documented order: the cluster (and with it the
+// reactor) shuts down while the frontend still has a connection open.
+// Stop() must tear down on the finished loop instead of waiting on it.
+TEST(ClusterNetTest, FrontendStopAfterClusterShutdownReturns) {
+  AgentNode node(NodeAgentConfig{.node_name = "nq"});
+  SKIP_WITHOUT_LOOPBACK(node);
+  RouterStack stack({{"nq", node.port()}});
+  SKIP_UNLESS_STARTED(stack);
+  EXPECT_EQ(stack.InvokeOnce("Id", "served"), "served");
+  const int idle_fd = BlockingConnect(stack.frontend->port());
+
+  stack.cluster.Shutdown();
+  ExpectReturnsWithin(5 * dbase::kMicrosPerSecond, "frontend Stop() after cluster Shutdown()",
+                      [&] { stack.frontend->Stop(); });
+  EXPECT_FALSE(stack.frontend->running());
+  // Torn down for real: the open connection sees EOF.
+  char byte;
+  EXPECT_EQ(read(idle_fd, &byte, 1), 0);
+  close(idle_fd);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for dbase::EventLoop: fd readiness dispatch, cross-thread Post,
 // the loop's own (wakeup-free) posts, one-shot timers with cancellation,
-// and clean Stop semantics.
+// clean Stop semantics, the shutdown drain and RunAndWait.
 #include "src/base/event_loop.h"
 
 #include <gtest/gtest.h>
@@ -24,11 +24,29 @@ std::unique_ptr<EventLoop> MustCreate() {
   return std::move(loop).value();
 }
 
+// Runs a loop on its own thread; stops and joins it on destruction too, so
+// an ASSERT that returns early fails the test instead of hanging it on the
+// join of a loop nobody stopped.
+class LoopRunner {
+ public:
+  explicit LoopRunner(EventLoop* loop) : loop_(loop), thread_("loop", [loop] { loop->Run(); }) {}
+  ~LoopRunner() { Stop(); }
+  // Stops the loop and waits for Run() to return. Idempotent.
+  void Stop() {
+    loop_->Stop();
+    thread_.Join();
+  }
+
+ private:
+  EventLoop* loop_;
+  JoiningThread thread_;
+};
+
 TEST(EventLoopTest, PostRunsOnLoopThread) {
   auto loop = MustCreate();
   std::thread::id loop_id;
   Latch ran(1);
-  JoiningThread thread("loop", [&] { loop->Run(); });
+  LoopRunner runner(loop.get());
   loop->Post([&] {
     loop_id = std::this_thread::get_id();
     EXPECT_TRUE(loop->IsLoopThread());
@@ -36,8 +54,7 @@ TEST(EventLoopTest, PostRunsOnLoopThread) {
   });
   ASSERT_TRUE(ran.WaitFor(5 * kMicrosPerSecond));
   EXPECT_FALSE(loop->IsLoopThread());
-  loop->Stop();
-  thread.Join();
+  runner.Stop();
   EXPECT_NE(loop_id, std::this_thread::get_id());
 }
 
@@ -46,7 +63,7 @@ TEST(EventLoopTest, PostRunsOnLoopThread) {
 TEST(EventLoopTest, SelfPostRunsWithoutReadyFdOrTimer) {
   auto loop = MustCreate();
   Latch ran(1);
-  JoiningThread thread("loop", [&] { loop->Run(); });
+  LoopRunner runner(loop.get());
   loop->Post([&] {
     loop->Post([&] {
       EXPECT_TRUE(loop->IsLoopThread());
@@ -54,8 +71,7 @@ TEST(EventLoopTest, SelfPostRunsWithoutReadyFdOrTimer) {
     });
   });
   EXPECT_TRUE(ran.WaitFor(5 * kMicrosPerSecond));
-  loop->Stop();
-  thread.Join();
+  runner.Stop();
 }
 
 // A cross-thread Post that finds the queue non-empty skips its wakeup
@@ -71,7 +87,7 @@ TEST(EventLoopTest, CrossThreadPostWhileSelfPostPendingRuns) {
     order.push_back(step);
     ran.CountDown();
   };
-  JoiningThread thread("loop", [&] { loop->Run(); });
+  LoopRunner runner(loop.get());
   loop->Post([&] {
     loop->Post([&] { record('a'); });
     // Enqueued while the self-post is pending, from a foreign thread.
@@ -79,8 +95,7 @@ TEST(EventLoopTest, CrossThreadPostWhileSelfPostPendingRuns) {
     other.join();
   });
   EXPECT_TRUE(ran.WaitFor(5 * kMicrosPerSecond));
-  loop->Stop();
-  thread.Join();
+  runner.Stop();
   EXPECT_EQ(order, "ab");
 }
 
@@ -88,7 +103,7 @@ TEST(EventLoopTest, CrossThreadPostWhileSelfPostPendingRuns) {
 // order, and so do the ones they post in turn.
 TEST(EventLoopTest, SelfPostsDuringABatchRunAfterItInOrder) {
   auto loop = MustCreate();
-  std::string order;  // Loop thread only until Join.
+  std::string order;  // Loop thread only until runner.Stop().
   Latch done(1);
   // Posted before Run(): both land in the loop's first batch.
   loop->Post([&] {
@@ -103,10 +118,9 @@ TEST(EventLoopTest, SelfPostsDuringABatchRunAfterItInOrder) {
     loop->Post([&] { order.push_back('2'); });
   });
   loop->Post([&] { order.push_back('z'); });
-  JoiningThread thread("loop", [&] { loop->Run(); });
+  LoopRunner runner(loop.get());
   EXPECT_TRUE(done.WaitFor(5 * kMicrosPerSecond));
-  loop->Stop();
-  thread.Join();
+  runner.Stop();
   EXPECT_EQ(order, "xz12w");
 }
 
@@ -126,11 +140,10 @@ TEST(EventLoopTest, FdReadinessDispatched) {
                     got.CountDown();
                   }).ok());
 
-  JoiningThread thread("loop", [&] { loop->Run(); });
+  LoopRunner runner(loop.get());
   ASSERT_EQ(write(fds[1], "ping", 4), 4);
   ASSERT_TRUE(got.WaitFor(5 * kMicrosPerSecond));
-  loop->Stop();
-  thread.Join();
+  runner.Stop();
   EXPECT_EQ(received, "ping");
   loop->Remove(fds[0]);
   close(fds[0]);
@@ -151,7 +164,8 @@ TEST(EventLoopTest, RemoveStopsDispatch) {
                     loop->Remove(fds[0]);
                   }).ok());
 
-  JoiningThread thread("loop", [&] { loop->Run(); });
+  Latch settled(1);  // Outlives the runner: a late closure may touch it.
+  LoopRunner runner(loop.get());
   ASSERT_EQ(write(fds[1], "x", 1), 1);
   // Wait for the first fire, then write again: no further dispatch expected.
   Stopwatch watch;
@@ -160,12 +174,10 @@ TEST(EventLoopTest, RemoveStopsDispatch) {
   }
   ASSERT_EQ(fires.load(), 1);
   ASSERT_EQ(write(fds[1], "y", 1), 1);
-  Latch settled(1);
   loop->Post([&] { settled.CountDown(); });
   ASSERT_TRUE(settled.WaitFor(5 * kMicrosPerSecond));
   EXPECT_EQ(fires.load(), 1);
-  loop->Stop();
-  thread.Join();
+  runner.Stop();
   close(fds[0]);
   close(fds[1]);
 }
@@ -181,10 +193,9 @@ TEST(EventLoopTest, TimerFiresAfterDelay) {
       fired.CountDown();
     });
   });
-  JoiningThread thread("loop", [&] { loop->Run(); });
+  LoopRunner runner(loop.get());
   ASSERT_TRUE(fired.WaitFor(5 * kMicrosPerSecond));
-  loop->Stop();
-  thread.Join();
+  runner.Stop();
   EXPECT_GE(elapsed, 20 * kMicrosPerMilli);
 }
 
@@ -199,11 +210,54 @@ TEST(EventLoopTest, CancelledTimerNeverFires) {
     // A later timer proves the heap kept running past the cancelled slot.
     loop->AddTimer(30 * kMicrosPerMilli, [&] { later_fired.CountDown(); });
   });
-  JoiningThread thread("loop", [&] { loop->Run(); });
+  LoopRunner runner(loop.get());
   ASSERT_TRUE(later_fired.WaitFor(5 * kMicrosPerSecond));
-  loop->Stop();
-  thread.Join();
+  runner.Stop();
   EXPECT_FALSE(cancelled_fired.load());
+}
+
+// Run() drains on the way out: closures posted around Stop(), and the ones
+// they post in turn, all run before it returns. Then the loop is finished:
+// Post() and RunAndWait() refuse, and run nothing.
+TEST(EventLoopTest, ShutdownDrainsPostsThenRefusesThem) {
+  auto loop = MustCreate();
+  std::string order;  // Loop thread only until runner.Stop().
+  {
+    LoopRunner runner(loop.get());
+    EXPECT_TRUE(loop->Post([&] {
+      order.push_back('a');
+      loop->Stop();
+      loop->Post([&] {
+        order.push_back('b');
+        loop->Post([&] { order.push_back('c'); });
+      });
+    }));
+  }
+  EXPECT_EQ(order, "abc");
+  bool ran = false;
+  EXPECT_FALSE(loop->Post([&] { ran = true; }));
+  EXPECT_FALSE(loop->RunAndWait([&] { ran = true; }));
+  EXPECT_FALSE(ran);
+}
+
+// RunAndWait returns only after fn ran on the loop thread; called on the
+// loop thread itself it runs fn inline instead of waiting on itself.
+TEST(EventLoopTest, RunAndWaitRunsOnTheLoopAndInlineOnIt) {
+  auto loop = MustCreate();
+  bool on_loop = false;
+  Latch done(1);
+  std::string order;  // Loop thread only until done.
+  LoopRunner runner(loop.get());
+  EXPECT_TRUE(loop->RunAndWait([&] { on_loop = loop->IsLoopThread(); }));
+  EXPECT_TRUE(on_loop);
+
+  loop->Post([&] {
+    EXPECT_TRUE(loop->RunAndWait([&] { order.push_back('i'); }));
+    order.push_back('o');
+    done.CountDown();
+  });
+  ASSERT_TRUE(done.WaitFor(5 * kMicrosPerSecond));
+  EXPECT_EQ(order, "io");
 }
 
 TEST(EventLoopTest, StopWakesABlockedRun) {
