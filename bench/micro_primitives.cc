@@ -5,6 +5,10 @@
 // the substrate the figures are built on.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "src/base/queue.h"
 #include "src/base/sharded_queue.h"
 #include "src/dsl/graph.h"
@@ -85,6 +89,52 @@ void BM_ShardedQueueSteal(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ShardedQueueSteal);
+
+// Wake latency of the park protocol: one item pushed onto shard 0 of a
+// 4-shard queue whose other three shards each have a parked consumer,
+// timed until a consumer acknowledges it. Arg 0: nobody is parked on
+// shard 0 (its owner is busy), so the push hands the item to one parked
+// sibling, which steals it. Arg 1: the item lands on a parked consumer's
+// own shard (shard 1) and wakes that owner.
+void BM_ShardedQueueParkedWake(benchmark::State& state) {
+  dbase::ShardedTaskQueue<int> queue(4);
+  std::atomic<uint64_t> acked{0};
+  std::vector<std::thread> consumers;
+  for (size_t shard = 1; shard < 4; ++shard) {
+    consumers.emplace_back([&queue, &acked, shard] {
+      while (true) {
+        if (queue.Pop(shard).has_value()) {
+          acked.fetch_add(1, std::memory_order_release);
+        } else if (queue.closed()) {
+          return;
+        }
+      }
+    });
+  }
+  const auto all_parked = [&queue] {
+    return queue.ParkOrder(1) != 0 && queue.ParkOrder(2) != 0 && queue.ParkOrder(3) != 0;
+  };
+  const size_t target = state.range(0) == 0 ? 0 : 1;
+  uint64_t sent = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    while (!all_parked()) {
+      std::this_thread::yield();
+    }
+    state.ResumeTiming();
+    queue.PushToShard(target, 1);
+    ++sent;
+    while (acked.load(std::memory_order_acquire) < sent) {
+    }
+  }
+  queue.Close();
+  for (auto& consumer : consumers) {
+    consumer.join();
+  }
+  state.counters["wakeups_per_push"] =
+      static_cast<double>(queue.total_wakeups()) / static_cast<double>(sent);
+}
+BENCHMARK(BM_ShardedQueueParkedWake)->Arg(0)->Arg(1)->UseRealTime();
 
 void BM_MarshalSets(benchmark::State& state) {
   dfunc::DataSetList sets;

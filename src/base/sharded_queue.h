@@ -5,12 +5,32 @@
 // batch per crossing via PushBatch — consumers pop their own shard free of
 // sibling contention and steal only when idle.
 //
+// Park protocol: each shard has one consumer, its owner (an engine worker).
+// A consumer with nothing to pop parks on its own shard, and
+// a push wakes exactly as many parked consumers as it brought items — the
+// shard's owner first, then parked siblings, which steal. Among parked
+// siblings the most recently parked goes first: its core is the likeliest
+// to be awake still and its cache warm, which is what a herd wake used to
+// buy by waking everyone and letting the quickest win. A push whose
+// owner is busy therefore hands the item to an idle sibling instead of
+// queueing it behind running work. No wake is lost: the consumer publishes
+// "parked" under its shard lock and then re-scans every shard before it
+// sleeps, while a pusher publishes its item under a shard lock and only
+// then reads the parked flags — the shard locks order the two, so either
+// the scan finds the item or the pusher finds the flag. The queue also
+// counts items no woken consumer is on its way to take; a woken consumer
+// that took an item while that count is positive passes wakes on, so a wake
+// that raced for a different item is never the last one. Parked consumers
+// never wake on a timer; a deadline is only ever the caller's own.
+//
 // Counter contract: pushes and pops are counted per shard under the same
 // lock as the queue operation; total_pushed()/total_popped() aggregate
 // across shards, so the PI controller's growth-rate deltas stay coherent
 // no matter which shard a task lands on or which worker steals it. A steal
 // counts as a pop. RehomeShard moves items between shards without touching
 // either counter — re-homing is neither an arrival nor a departure.
+// total_wakeups() counts parks that ended in a wake rather than at their
+// deadline.
 //
 // Priority: each shard carries two FIFO lanes. Items pushed urgent pop
 // before any normal-lane item on the same shard (pops, steals, and
@@ -56,9 +76,12 @@ class ShardedTaskQueue {
   }
 
   // Targeted producer path (callers route to the shard of a worker whose
-  // role matches the task). Returns false if the queue is closed.
+  // role matches the task). Wakes the shard's owner if it is parked, else
+  // one parked sibling. Returns false if the queue is closed.
   bool PushToShard(size_t shard, T item, bool urgent = false) {
-    Shard& s = *shards_[ShardIndex(shard)];
+    const size_t index = ShardIndex(shard);
+    Shard& s = *shards_[index];
+    bool owner_woken = false;
     {
       std::lock_guard<std::mutex> lock(s.mu);
       if (closed_.load(std::memory_order_relaxed)) {
@@ -67,19 +90,23 @@ class ShardedTaskQueue {
       (urgent ? s.urgent : s.items).push_back(std::move(item));
       s.approx_size.store(s.items.size() + s.urgent.size(), std::memory_order_relaxed);
       ++s.pushed;
+      owner_woken = ClaimLocked(s);
     }
-    s.cv.notify_one();
+    WakeAfterPush(index, 1, owner_woken, /*fresh=*/true);
     return true;
   }
 
   // Lands an entire batch on one shard in a single lock crossing — the
   // amortized path for each/key fan-outs. Every item still counts as one
-  // push. Returns false (dropping the batch) if the queue is closed.
+  // push, and the batch wakes up to one parked consumer per item (owner
+  // first). Returns false (dropping the batch) if the queue is closed.
   bool PushBatch(std::vector<T> items, size_t shard, bool urgent = false) {
     if (items.empty()) {
       return !closed_.load(std::memory_order_relaxed);
     }
-    Shard& s = *shards_[ShardIndex(shard)];
+    const size_t index = ShardIndex(shard);
+    Shard& s = *shards_[index];
+    bool owner_woken = false;
     {
       std::lock_guard<std::mutex> lock(s.mu);
       if (closed_.load(std::memory_order_relaxed)) {
@@ -91,19 +118,9 @@ class ShardedTaskQueue {
         lane.push_back(std::move(item));
       }
       s.approx_size.store(s.items.size() + s.urgent.size(), std::memory_order_relaxed);
+      owner_woken = ClaimLocked(s);
     }
-    s.cv.notify_all();
-    // A batch is more work than one worker: bump the push epoch and wake
-    // the siblings parked in PopWithTimeout so they steal instead of
-    // sleeping out their timeout. The notify is lock-free, so a waiter
-    // between its predicate check and its sleep can miss it — the bounded
-    // wait (worst case: pre-batching latency) is the backstop.
-    push_epoch_.fetch_add(1, std::memory_order_release);
-    for (auto& shard_ptr : shards_) {
-      if (shard_ptr.get() != &s) {
-        shard_ptr->cv.notify_one();
-      }
-    }
+    WakeAfterPush(index, items.size(), owner_woken, /*fresh=*/true);
     return true;
   }
 
@@ -121,6 +138,8 @@ class ShardedTaskQueue {
     const size_t thief = ShardIndex(thief_shard);
     for (size_t offset = 1; offset < n; ++offset) {
       Shard& victim = *shards_[(thief + offset) % n];
+      // Always under the victim's lock, never a lock-free size check: the
+      // park re-scan relies on it to order itself against every push.
       std::lock_guard<std::mutex> lock(victim.mu);
       auto item = PopFrontLocked(victim);
       if (item.has_value()) {
@@ -131,35 +150,40 @@ class ShardedTaskQueue {
     return std::nullopt;
   }
 
-  // Local pop, then steal, then a bounded wait on the local shard — which a
-  // sibling-shard batch push cuts short (epoch bump + wake) so idle workers
-  // steal a fresh fan-out instead of sleeping out their timeout. May return
-  // nullopt before the timeout elapses (callers loop); returns nullopt when
-  // closed and the local shard is drained (siblings may still hold items —
-  // callers drain those via TryPop).
+  // Local pop, then steal, then park on the local shard until an item
+  // lands on it, a push hands this consumer a sibling's item, Wake(shard)
+  // or Close() — or `timeout_us` elapses. May return nullopt before the
+  // timeout (woken for an item another consumer took, or by Wake; callers
+  // loop); returns nullopt when closed and the local shard is drained
+  // (siblings may still hold items — callers drain those via TryPop).
   std::optional<T> PopWithTimeout(size_t shard, Micros timeout_us) {
-    if (auto item = TryPopLocal(shard)) {
-      return item;
-    }
-    if (auto item = TrySteal(shard)) {
-      return item;
-    }
-    const uint64_t seen_epoch = push_epoch_.load(std::memory_order_acquire);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::microseconds(timeout_us);
+    return PopOrPark(shard, &deadline);
+  }
+
+  // PopWithTimeout without a deadline: parks until woken.
+  std::optional<T> Pop(size_t shard) { return PopOrPark(shard, nullptr); }
+
+  // Wakes the shard's owner if it is parked, or makes its next park return
+  // at once — for a consumer whose reason to park changed (an engine
+  // worker's role shift), not for new items.
+  void Wake(size_t shard) {
     Shard& s = *shards_[ShardIndex(shard)];
     {
-      std::unique_lock<std::mutex> lock(s.mu);
-      s.cv.wait_for(lock, std::chrono::microseconds(timeout_us), [&] {
-        return !s.items.empty() || !s.urgent.empty() ||
-               closed_.load(std::memory_order_relaxed) ||
-               push_epoch_.load(std::memory_order_relaxed) != seen_epoch;
-      });
-      if (auto item = PopFrontLocked(s)) {
-        return item;
-      }
+      std::lock_guard<std::mutex> lock(s.mu);
+      s.parked = false;
+      s.parked_order.store(0, std::memory_order_relaxed);
+      s.wake = true;
     }
-    // Woken by a batch landing on a sibling (or timed out): one more steal
-    // attempt before handing control back to the caller's loop.
-    return TrySteal(shard);
+    s.cv.notify_one();
+  }
+
+  // 0 when the shard's owner is not parked, else when it parked relative to
+  // the other owners (larger = more recent). Lock-free, may lag a racing
+  // park or wake — lets producers route to the warmest idle consumer.
+  uint64_t ParkOrder(size_t shard) const {
+    return shards_[ShardIndex(shard)]->parked_order.load(std::memory_order_relaxed);
   }
 
   // Local pop falling back to a steal; never blocks.
@@ -172,9 +196,9 @@ class ShardedTaskQueue {
 
   // Moves everything queued on `from` onto the `to` shards (round-robin)
   // without touching the pushed/popped counters: used when a worker's role
-  // shift leaves residue on a shard no same-role worker calls home. With no
-  // eligible targets the items stay put — stealing is the safety net.
-  // Returns the number of items moved.
+  // shift leaves residue on a shard no same-role worker calls home. Each
+  // moved item wakes like a push. With no eligible targets the items stay
+  // put — stealing is the safety net. Returns the number of items moved.
   size_t RehomeShard(size_t from, const std::vector<size_t>& to) {
     const size_t source = ShardIndex(from);
     std::deque<T> residue;         // Normal lane.
@@ -220,17 +244,20 @@ class ShardedTaskQueue {
     size_t next = 0;
     const auto distribute = [&](std::deque<T>* lane_residue, bool urgent) {
       while (!lane_residue->empty()) {
-        Shard& s = *shards_[targets[next++ % targets.size()]];
+        const size_t target = targets[next++ % targets.size()];
+        Shard& s = *shards_[target];
+        bool owner_woken = false;
         {
           std::lock_guard<std::mutex> lock(s.mu);
           (urgent ? s.urgent : s.items).push_back(std::move(lane_residue->front()));
           s.approx_size.store(s.items.size() + s.urgent.size(), std::memory_order_relaxed);
+          owner_woken = ClaimLocked(s);
         }
-        s.cv.notify_one();
         // Decrement only after the item is visible on its new shard: Size()
         // may transiently double-count, never undercount.
         rehoming_.fetch_sub(1, std::memory_order_release);
         lane_residue->pop_front();
+        WakeAfterPush(target, 1, owner_woken, /*fresh=*/false);
       }
     };
     distribute(&urgent_residue, /*urgent=*/true);
@@ -239,11 +266,11 @@ class ShardedTaskQueue {
   }
 
   // After Close(), pushes fail and pops drain remaining items then return
-  // nullopt. Wakes all waiters on every shard.
+  // nullopt. Wakes every parked consumer.
   void Close() {
     closed_.store(true, std::memory_order_relaxed);
-    // Take each shard lock once so no waiter can check the predicate
-    // between the store and the notify, then wake everyone.
+    // Take each shard lock once so no consumer can check its park
+    // predicate between the store and the notify, then wake everyone.
     for (auto& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard->mu);
     }
@@ -298,8 +325,13 @@ class ShardedTaskQueue {
   uint64_t total_stolen() const {
     return SumOverShards([](const Shard& s) { return s.stolen; });
   }
+  uint64_t total_wakeups() const {
+    return SumOverShards([](const Shard& s) { return s.wakeups; });
+  }
 
  private:
+  using Deadline = std::chrono::steady_clock::time_point;
+
   struct Shard {
     mutable std::mutex mu;
     std::condition_variable cv;
@@ -309,6 +341,19 @@ class ShardedTaskQueue {
     uint64_t pushed = 0;
     uint64_t popped = 0;
     uint64_t stolen = 0;
+    uint64_t wakeups = 0;
+    // The owner has published a park and not yet left it (guarded by mu).
+    bool parked = false;
+    // A wake was posted to the owner: a push claimed it, or Wake() was
+    // called. Guarded by mu; cleared when the owner leaves its park.
+    bool wake = false;
+    // The wake came from a push, which counted this owner as on its way to
+    // take one item (see uncovered_). Guarded by mu.
+    bool claimed = false;
+    // Mirror of `parked` (0 = not parked, else the queue's park_seq_ at the
+    // park), written under mu, read lock-free by pushers looking for a
+    // consumer to wake.
+    std::atomic<uint64_t> parked_order{0};
     // Mirror of items.size(), written under mu, read lock-free by
     // ApproxShardSize.
     std::atomic<size_t> approx_size{0};
@@ -325,7 +370,165 @@ class ShardedTaskQueue {
     lane->pop_front();
     s.approx_size.store(s.items.size() + s.urgent.size(), std::memory_order_relaxed);
     ++s.popped;
+    uncovered_.fetch_sub(1, std::memory_order_relaxed);
     return item;
+  }
+
+  // Takes the owner out of its park and posts it a wake, if it is parked.
+  // Returns whether it did; the caller notifies s.cv after unlocking. Caller
+  // holds s.mu.
+  bool ClaimLocked(Shard& s) {
+    if (!s.parked) {
+      return false;
+    }
+    s.parked = false;
+    s.parked_order.store(0, std::memory_order_relaxed);
+    s.wake = true;
+    s.claimed = true;
+    return true;
+  }
+
+  // The wake half of a push of `count` items onto `shard`: notify the owner
+  // if the push claimed it, then claim one parked sibling per remaining
+  // item. Items nobody was claimed for count as uncovered — added only
+  // after the claims, so a consumer woken here and settling early never
+  // sees its own batch's items as uncovered. A re-homed item (not `fresh`)
+  // was counted when first pushed.
+  void WakeAfterPush(size_t shard, size_t count, bool owner_woken, bool fresh) {
+    size_t claimed = 0;
+    if (owner_woken) {
+      shards_[shard]->cv.notify_one();
+      claimed = 1;
+    }
+    claimed += WakeParked(count - claimed);
+    uncovered_.fetch_add(static_cast<int64_t>(fresh ? count : 0) - static_cast<int64_t>(claimed),
+                         std::memory_order_relaxed);
+  }
+
+  // Claims and notifies up to `count` parked owners, most recently parked
+  // first. The lock-free order skips busy shards; the claim itself is
+  // re-checked under the owner's lock. Returns how many it woke.
+  size_t WakeParked(size_t count) {
+    size_t woken = 0;
+    // A failed claim lost a race with that owner's unpark: rescan, boundedly.
+    for (size_t tries = 0; woken < count && tries < count + shards_.size(); ++tries) {
+      Shard* warmest = nullptr;
+      uint64_t warmest_order = 0;
+      for (const auto& shard : shards_) {
+        const uint64_t order = shard->parked_order.load(std::memory_order_relaxed);
+        if (order > warmest_order) {
+          warmest = shard.get();
+          warmest_order = order;
+        }
+      }
+      if (warmest == nullptr) {
+        break;
+      }
+      bool claimed = false;
+      {
+        std::lock_guard<std::mutex> lock(warmest->mu);
+        claimed = ClaimLocked(*warmest);
+      }
+      if (claimed) {
+        warmest->cv.notify_one();
+        ++woken;
+      }
+    }
+    return woken;
+  }
+
+  // Leaves a park under s.mu. Returns whether a push had claimed the owner
+  // (the caller settles the claim in PassOnWake once it has tried to pop).
+  static bool UnparkLocked(Shard& s) {
+    const bool claimed = s.claimed;
+    s.parked = false;
+    s.parked_order.store(0, std::memory_order_relaxed);
+    s.wake = false;
+    s.claimed = false;
+    return claimed;
+  }
+
+  // Settles a claim after the pop attempt: the consumer is no longer on its
+  // way. Returning the claim only after the pop keeps a batch's own woken
+  // consumers from seeing each other's items as uncovered. One that took an
+  // item then wakes a parked consumer per uncovered item, reserving each
+  // before claiming so concurrent settlers never wake two for one — the
+  // pusher that claimed it may have meant an item it did not take.
+  std::optional<T> PassOnWake(bool claimed, std::optional<T> item) {
+    if (!claimed) {
+      return item;
+    }
+    int64_t uncovered = uncovered_.fetch_add(1, std::memory_order_relaxed) + 1;
+    while (item.has_value() && uncovered > 0) {
+      if (!uncovered_.compare_exchange_weak(uncovered, uncovered - 1,
+                                            std::memory_order_relaxed)) {
+        continue;  // `uncovered` now holds the fresh value.
+      }
+      if (WakeParked(1) == 0) {
+        uncovered_.fetch_add(1, std::memory_order_relaxed);  // Nobody parked.
+        break;
+      }
+      uncovered = uncovered_.load(std::memory_order_relaxed);
+    }
+    return item;
+  }
+
+  std::optional<T> PopOrPark(size_t shard, const Deadline* deadline) {
+    const size_t index = ShardIndex(shard);
+    Shard& s = *shards_[index];
+    bool closed = false;
+    {
+      std::lock_guard<std::mutex> lock(s.mu);
+      if (auto item = PopFrontLocked(s)) {
+        return item;
+      }
+      closed = closed_.load(std::memory_order_relaxed);
+      if (!closed) {
+        // Publish the park before the re-scan below: a push that lands
+        // after the scan passed its shard finds this flag and wakes us.
+        s.parked = true;
+        s.parked_order.store(park_seq_.fetch_add(1, std::memory_order_relaxed) + 1,
+                             std::memory_order_relaxed);
+      }
+    }
+    if (closed) {
+      return TrySteal(index);
+    }
+    if (auto item = TrySteal(index)) {
+      bool claimed = false;
+      {
+        std::lock_guard<std::mutex> lock(s.mu);
+        claimed = UnparkLocked(s);
+      }
+      return PassOnWake(claimed, std::move(item));
+    }
+    bool claimed = false;
+    {
+      std::unique_lock<std::mutex> lock(s.mu);
+      bool slept = false;
+      bool timed_out = false;
+      while (!s.wake && s.items.empty() && s.urgent.empty() &&
+             !closed_.load(std::memory_order_relaxed)) {
+        slept = true;
+        if (deadline == nullptr) {
+          s.cv.wait(lock);
+        } else if (s.cv.wait_until(lock, *deadline) == std::cv_status::timeout) {
+          timed_out = true;
+          break;
+        }
+      }
+      if (slept && !timed_out) {
+        ++s.wakeups;
+      }
+      claimed = UnparkLocked(s);
+      if (auto item = PopFrontLocked(s)) {
+        lock.unlock();
+        return PassOnWake(claimed, std::move(item));
+      }
+    }
+    // Woken for a sibling's item (or timed out): steal before handing
+    // control back to the caller's loop.
+    return PassOnWake(claimed, TrySteal(index));
   }
 
   // Clamps a caller-supplied shard id without a division on the hot path
@@ -347,9 +550,12 @@ class ShardedTaskQueue {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<bool> closed_{false};
   std::atomic<uint64_t> rr_{0};
-  // Bumped once per PushBatch; lets PopWithTimeout waiters notice work
-  // arriving on sibling shards and steal instead of sleeping.
-  std::atomic<uint64_t> push_epoch_{0};
+  // Orders parks so wakes can prefer the most recent one.
+  std::atomic<uint64_t> park_seq_{0};
+  // Queued items minus consumers a push has claimed that have not yet
+  // settled their claim (each of which takes an item if one is queued): the
+  // items nobody is on the way to take. Transiently negative mid-settle.
+  std::atomic<int64_t> uncovered_{0};
   // Items mid-RehomeShard: out of their source shard but not yet on a
   // target. Included in Size() so drains never observe a false empty.
   std::atomic<size_t> rehoming_{0};

@@ -496,7 +496,8 @@ void Dispatcher::StartNodeLocked(const std::shared_ptr<InvocationState>& inv, si
 
   // Compute fan-outs are prepared instance by instance but handed to the
   // engines as one batch — a single queue crossing per each/key fan-out
-  // instead of one per instance.
+  // instead of one per instance. A single instance takes the plain submit
+  // path: it wakes at most the one parked worker it lands on.
   if (kind == Kind::kCompute) {
     std::vector<ComputeTask> batch;
     batch.reserve(launches.size());
@@ -508,7 +509,10 @@ void Dispatcher::StartNodeLocked(const std::shared_ptr<InvocationState>& inv, si
       }
       batch.push_back(std::move(*task));
     }
-    if (!workers_->SubmitComputeBatch(std::move(batch))) {
+    const bool submitted = batch.size() == 1
+                               ? workers_->SubmitCompute(std::move(batch.front()))
+                               : workers_->SubmitComputeBatch(std::move(batch));
+    if (!submitted) {
       FailLocked(inv, dbase::Unavailable("compute engines are shut down"));
     }
     return;
@@ -788,9 +792,7 @@ void Dispatcher::RelaunchCompute(RetryJob job) {
   if (!task.has_value()) {
     return;  // BuildComputeTask already failed the invocation.
   }
-  std::vector<ComputeTask> batch;
-  batch.push_back(std::move(*task));
-  if (!workers_->SubmitComputeBatch(std::move(batch))) {
+  if (!workers_->SubmitCompute(std::move(*task))) {
     FailLocked(inv, dbase::Unavailable("compute engines are shut down"));
   }
 }

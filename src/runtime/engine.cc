@@ -70,12 +70,13 @@ bool WorkerSet::SubmitComputeBatch(std::vector<ComputeTask> tasks) {
   // chunks in parallel instead of serializing steals against one victim
   // shard. Small fan-outs stay a single crossing on the least-loaded shard.
   constexpr size_t kMinChunk = 16;
+  if (tasks.size() < 2 * kMinChunk) {
+    const size_t shard = PickShard(EngineType::kCompute, compute_queue_);
+    return compute_queue_.PushBatch(std::move(tasks), shard, urgent);
+  }
   const std::vector<size_t> targets =
       ShardsWithRole(EngineType::kCompute, roles_.size());  // Exclude none.
-  const size_t chunks =
-      targets.size() <= 1
-          ? 1
-          : std::min(targets.size(), std::max<size_t>(1, tasks.size() / kMinChunk));
+  const size_t chunks = std::min(targets.size(), tasks.size() / kMinChunk);
   if (chunks <= 1) {
     const size_t shard = PickShard(EngineType::kCompute, compute_queue_);
     return compute_queue_.PushBatch(std::move(tasks), shard, urgent);
@@ -109,8 +110,10 @@ bool WorkerSet::ShiftWorkerToCompute() {
     EngineType expected = EngineType::kCommunication;
     if (roles_[i]->compare_exchange_strong(expected, EngineType::kCompute)) {
       // Comm tasks queued on the departed shard would otherwise wait for a
-      // sibling's idle steal; hand them to workers still doing comm.
+      // sibling's idle steal; hand them to workers still doing comm. A
+      // worker parked on its comm shard must wake to take up compute.
       comm_queue_.RehomeShard(i, ShardsWithRole(EngineType::kCommunication, i));
+      comm_queue_.Wake(i);
       return true;
     }
   }
@@ -125,6 +128,7 @@ bool WorkerSet::ShiftWorkerToComm() {
     EngineType expected = EngineType::kCompute;
     if (roles_[i]->compare_exchange_strong(expected, EngineType::kCommunication)) {
       compute_queue_.RehomeShard(i, ShardsWithRole(EngineType::kCompute, i));
+      compute_queue_.Wake(i);
       return true;
     }
   }
@@ -200,6 +204,8 @@ EngineStats WorkerSet::Stats() const {
   }
   stats.compute_steals = compute_queue_.total_stolen();
   stats.comm_steals = comm_queue_.total_stolen();
+  stats.compute_wakeups = compute_queue_.total_wakeups();
+  stats.comm_wakeups = comm_queue_.total_wakeups();
   {
     std::lock_guard<std::mutex> lock(wait_mu_);
     stats.compute_wait_p50_us = compute_wait_us_.ApproxPercentile(50);
@@ -374,6 +380,16 @@ void WorkerSet::CompleteDue(std::vector<InFlight>* inflight, dbase::Micros now) 
   }
 }
 
+void WorkerSet::LeaveRole(size_t index, EngineType old_role) {
+  // The shift already re-homed this shard, but a submit that read the role
+  // just before the flip can land here after it.
+  if (old_role == EngineType::kCompute) {
+    compute_queue_.RehomeShard(index, ShardsWithRole(EngineType::kCompute, index));
+  } else {
+    comm_queue_.RehomeShard(index, ShardsWithRole(EngineType::kCommunication, index));
+  }
+}
+
 void WorkerSet::WorkerLoop(int index) {
   if (config_.pin_threads) {
     dbase::PinCurrentThreadToCpu(index);
@@ -384,17 +400,30 @@ void WorkerSet::WorkerLoop(int index) {
   // Pending comm completions owned by this worker — the cooperative
   // runtime's outstanding network operations.
   std::vector<InFlight> inflight;
+  // Time until the nearest pending completion is due, 0 when one already
+  // is. Only called with completions pending.
+  const auto until_next_due = [&inflight] {
+    dbase::Micros nearest = INT64_MAX;
+    for (const auto& item : inflight) {
+      nearest = std::min(nearest, item.ready_at_us);
+    }
+    return std::max<dbase::Micros>(0, nearest - dbase::MonotonicClock::Get()->NowMicros());
+  };
+  EngineType role = roles_[shard]->load(std::memory_order_relaxed);
 
   while (true) {
     const dbase::Micros now = dbase::MonotonicClock::Get()->NowMicros();
     CompleteDue(&inflight, now);
 
     const bool draining = shutdown_.load(std::memory_order_relaxed);
-    const EngineType role = roles_[static_cast<size_t>(index)]->load(std::memory_order_relaxed);
+    const EngineType current = roles_[shard]->load(std::memory_order_relaxed);
+    if (current != role) {
+      LeaveRole(shard, role);
+      role = current;
+    }
 
     if (role == EngineType::kCommunication || draining) {
       // Accept new requests up to the green-thread budget.
-      bool accepted = false;
       while (static_cast<int>(inflight.size()) < config_.comm_parallelism) {
         auto task = comm_queue_.TryPop(shard);
         if (!task.has_value()) {
@@ -402,35 +431,34 @@ void WorkerSet::WorkerLoop(int index) {
         }
         StartCommTask(std::move(*task), &inflight);
         comm_done_.fetch_add(1, std::memory_order_relaxed);
-        accepted = true;
       }
       if (role == EngineType::kCommunication && !draining) {
-        if (inflight.empty() && !accepted) {
-          // Idle: block briefly on the home shard so we wake on arrivals.
-          auto task = comm_queue_.PopWithTimeout(shard, 500);
-          if (task.has_value()) {
-            StartCommTask(std::move(*task), &inflight);
-            comm_done_.fetch_add(1, std::memory_order_relaxed);
-          }
-        } else if (!inflight.empty()) {
-          // Sleep to the nearest completion (bounded so role flips and new
-          // arrivals are noticed promptly).
-          dbase::Micros nearest = INT64_MAX;
-          for (const auto& item : inflight) {
-            nearest = std::min(nearest, item.ready_at_us);
-          }
-          const dbase::Micros wait =
-              std::clamp<dbase::Micros>(nearest - now, 0, 200);
-          if (wait > 0) {
+        // Park until an arrival, a role shift or the nearest completion —
+        // never on a timer of its own.
+        std::optional<CommTask> task;
+        if (inflight.empty()) {
+          task = comm_queue_.Pop(shard);
+        } else if (const dbase::Micros wait = until_next_due(); wait > 0) {
+          if (static_cast<int>(inflight.size()) < config_.comm_parallelism) {
+            task = comm_queue_.PopWithTimeout(shard, wait);
+          } else {
+            // No green thread free: only a completion can make progress.
             std::this_thread::sleep_for(std::chrono::microseconds(wait));
           }
+        }
+        if (task.has_value()) {
+          StartCommTask(std::move(*task), &inflight);
+          comm_done_.fetch_add(1, std::memory_order_relaxed);
         }
         continue;
       }
     }
 
     if (role == EngineType::kCompute && !draining) {
-      auto task = compute_queue_.PopWithTimeout(shard, inflight.empty() ? 1000 : 100);
+      // Park until a task or a role shift; comm completions left over from
+      // before a shift bound the park.
+      auto task = inflight.empty() ? compute_queue_.Pop(shard)
+                                   : compute_queue_.PopWithTimeout(shard, until_next_due());
       if (task.has_value()) {
         RunComputeTask(std::move(*task));
       }

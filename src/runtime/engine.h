@@ -96,13 +96,20 @@ struct EngineStats {
   uint64_t compute_wait_p99_us = 0;
   uint64_t comm_wait_p50_us = 0;
   uint64_t comm_wait_p99_us = 0;
+  // Parks that ended in a wake rather than at their deadline, per queue. A
+  // parked worker is woken only for a task (or a role shift), so on a
+  // serial workload these run at about one per task.
+  uint64_t compute_wakeups = 0;
+  uint64_t comm_wakeups = 0;
 };
 
 // The pool of engine workers. Task queues are sharded per worker: a worker
-// pops its own shard first and steals from siblings before sleeping, so
-// dispatch scales past the single-mutex ceiling while keeping late binding
-// of tasks to cores (§5). Submissions route to a shard whose worker holds
-// the matching role; role shifts re-home the departed shard's residue.
+// pops its own shard first, steals from siblings, and otherwise parks until
+// a task is pushed for it, so dispatch scales past the single-mutex ceiling
+// while keeping late binding of tasks to cores (§5) — and an idle worker
+// costs no CPU. Submissions route to a parked worker of the matching role
+// when there is one; role shifts wake the shifted worker and re-home the
+// departed shard's residue.
 class WorkerSet {
  public:
   struct Config {
@@ -193,10 +200,12 @@ class WorkerSet {
   };
 
   void WorkerLoop(int index);
-  // Shard of a worker currently holding `role`, preferring the least
-  // loaded by the queue's lock-free approximate depth — the submit path
-  // takes no shard lock beyond the final push; any shard when no worker
-  // matches (stealing then redistributes).
+  // Shard of a worker currently holding `role`: the most recently parked
+  // one if any (the push then wakes its owner, the warmest idle core, and
+  // nobody steals), else the least loaded by the queue's lock-free
+  // approximate depth — the submit path takes no shard lock beyond the
+  // final push; any shard when no worker matches (stealing then
+  // redistributes).
   template <typename Task>
   size_t PickShard(EngineType role, const dbase::ShardedTaskQueue<Task>& queue) const {
     // The scan start rotates so depth ties (the common all-zero idle case)
@@ -206,16 +215,25 @@ class WorkerSet {
     const size_t start = submit_rr_.fetch_add(1, std::memory_order_relaxed);
     size_t best = static_cast<size_t>(-1);
     size_t best_depth = 0;
+    size_t warmest = static_cast<size_t>(-1);
+    uint64_t warmest_order = 0;
     for (size_t k = 0; k < n; ++k) {
       const size_t i = (start + k) % n;
       if (roles_[i]->load(std::memory_order_relaxed) != role) {
         continue;
+      }
+      if (const uint64_t order = queue.ParkOrder(i); order > warmest_order) {
+        warmest = i;
+        warmest_order = order;
       }
       const size_t depth = queue.ApproxShardSize(i);
       if (best == static_cast<size_t>(-1) || depth < best_depth) {
         best = i;
         best_depth = depth;
       }
+    }
+    if (warmest != static_cast<size_t>(-1)) {
+      return warmest;
     }
     if (best != static_cast<size_t>(-1)) {
       return best;
@@ -230,6 +248,9 @@ class WorkerSet {
   // Issues the mesh call and appends the pending completion to `inflight`.
   void StartCommTask(CommTask task, std::vector<InFlight>* inflight);
   void CompleteDue(std::vector<InFlight>* inflight, dbase::Micros now);
+  // Hands what worker `index` left queued in its old role to the workers
+  // still holding that role.
+  void LeaveRole(size_t index, EngineType old_role);
 
   Config config_;
   dhttp::ServiceMesh* mesh_;

@@ -1101,11 +1101,11 @@ std::string HttpFrontend::StatzJson() const {
       "\"compute_tasks\":%llu,\"comm_tasks\":%llu,\"compute_aborted\":%llu,"
       "\"comm_aborted\":%llu,\"compute_queue_len\":%llu,\"comm_queue_len\":%llu,"
       "\"compute_workers\":%d,\"comm_workers\":%d,\"compute_steals\":%llu,"
-      "\"comm_steals\":%llu",
+      "\"comm_steals\":%llu,\"compute_wakeups\":%llu,\"comm_wakeups\":%llu",
       u(engine.compute_tasks), u(engine.comm_tasks), u(engine.compute_aborted),
       u(engine.comm_aborted), u(engine.compute_queue_len), u(engine.comm_queue_len),
       engine.compute_workers, engine.comm_workers, u(engine.compute_steals),
-      u(engine.comm_steals));
+      u(engine.comm_steals), u(engine.compute_wakeups), u(engine.comm_wakeups));
   json += "},\"dispatcher\":{";
   json += dbase::StrFormat(
       "\"invocations_started\":%llu,\"invocations_completed\":%llu,"

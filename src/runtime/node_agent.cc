@@ -1,6 +1,7 @@
 #include "src/runtime/node_agent.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -136,10 +137,41 @@ void NodeAgent::HandleInvoke(dnet::WireInvoke invoke, dnet::NodeServer::OutcomeF
   const uint64_t invocation_id = request.id;
   auto submit = [this, request = std::move(request), done = std::move(done), invocation_id,
                  klass]() mutable {
-    // The handle is captured by the completion so the report (failure
-    // kind, absorbed retries) is readable at outcome-build time.
-    auto handle = std::make_shared<InvocationHandle>();
-    auto callback = [this, done = std::move(done), handle, invocation_id,
+    // The outcome carries the handle's report (failure kind, absorbed
+    // retries), but the completion can fire before Submit returns the
+    // handle — on an engine worker, or inline on a synchronous failure.
+    // Whichever of the two comes second sends the outcome.
+    struct Pending {
+      std::mutex mu;
+      bool submitted = false;  // `handle` is set and final.
+      InvocationHandle handle;
+      std::optional<dbase::Result<dfunc::DataSetList>> early_result;
+      dnet::NodeServer::OutcomeFn done;
+    };
+    auto pending = std::make_shared<Pending>();
+    pending->done = std::move(done);
+    const auto send = [this, pending](dbase::Result<dfunc::DataSetList> result) {
+      dnet::WireOutcome outcome;
+      const InvocationReport report = pending->handle.Report();
+      outcome.failure_kind = static_cast<uint8_t>(report.failure_kind);
+      outcome.retries_attempted = static_cast<uint32_t>(report.retries_attempted);
+      if (result.ok()) {
+        outcome.code = dbase::StatusCode::kOk;
+        outcome.sets = std::move(result).value();
+      } else {
+        outcome.code = result.status().code();
+        outcome.message = result.status().message();
+      }
+      pending->done(std::move(outcome));
+      {
+        // Notify under the lock: once Stop() sees zero it may return and
+        // ~NodeAgent destroy drain_cv_, which must not be mid-broadcast.
+        std::lock_guard<std::mutex> drain_lock(drain_mu_);
+        outstanding_.fetch_sub(1, std::memory_order_acq_rel);
+        drain_cv_.notify_all();
+      }
+    };
+    auto callback = [this, pending, send, invocation_id,
                      klass](dbase::Result<dfunc::DataSetList> result) {
       inflight_[klass].fetch_sub(1, std::memory_order_relaxed);
       served_.fetch_add(1, std::memory_order_relaxed);
@@ -151,30 +183,31 @@ void NodeAgent::HandleInvoke(dnet::WireInvoke invoke, dnet::NodeServer::OutcomeF
           completed_early_.insert(invocation_id);
         }
       }
-      dnet::WireOutcome outcome;
-      const InvocationReport report = handle->Report();
-      outcome.failure_kind = static_cast<uint8_t>(report.failure_kind);
-      outcome.retries_attempted = static_cast<uint32_t>(report.retries_attempted);
-      if (result.ok()) {
-        outcome.code = dbase::StatusCode::kOk;
-        outcome.sets = std::move(result).value();
-      } else {
-        outcome.code = result.status().code();
-        outcome.message = result.status().message();
-      }
-      done(std::move(outcome));
       {
-        std::lock_guard<std::mutex> drain_lock(drain_mu_);
-        outstanding_.fetch_sub(1, std::memory_order_acq_rel);
+        std::lock_guard<std::mutex> lock(pending->mu);
+        if (!pending->submitted) {
+          pending->early_result = std::move(result);
+          return;
+        }
       }
-      drain_cv_.notify_all();
+      send(std::move(result));
     };
-    *handle = platform_->Submit(std::move(request), std::move(callback));
+    InvocationHandle handle = platform_->Submit(std::move(request), std::move(callback));
     if (invocation_id != 0) {
       std::lock_guard<std::mutex> lock(inflight_mu_);
       if (completed_early_.erase(invocation_id) == 0) {
-        inflight_handles_[invocation_id] = *handle;
+        inflight_handles_[invocation_id] = handle;
       }
+    }
+    std::optional<dbase::Result<dfunc::DataSetList>> early_result;
+    {
+      std::lock_guard<std::mutex> lock(pending->mu);
+      pending->handle = std::move(handle);
+      pending->submitted = true;
+      early_result = std::move(pending->early_result);
+    }
+    if (early_result.has_value()) {
+      send(std::move(*early_result));
     }
   };
   // Only this invoke in flight: nothing else wants the wire loop, so submit
@@ -218,10 +251,10 @@ void NodeAgent::HandleMesh(std::string request, dnet::NodeServer::MeshReplyFn do
     }
     done(std::move(reply));
     {
-      std::lock_guard<std::mutex> drain_lock(drain_mu_);
+      std::lock_guard<std::mutex> drain_lock(drain_mu_);  // See HandleInvoke.
       outstanding_.fetch_sub(1, std::memory_order_acq_rel);
+      drain_cv_.notify_all();
     }
-    drain_cv_.notify_all();
   };
   if (dispatch_pool_ != nullptr && dispatch_pool_->Submit(serve)) {
     return;

@@ -9,7 +9,10 @@
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #endif
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -432,12 +435,12 @@ TEST(ShardedTaskQueueTest, PopWithTimeoutStealsBeforeSleeping) {
 TEST(ShardedTaskQueueTest, SiblingBatchWakesBlockedWaiter) {
   // A worker parked in PopWithTimeout on its empty shard is woken by a
   // batch landing on a sibling shard and steals from it, well before its
-  // timeout elapses. The wake is best-effort (the lock-free notify can race
-  // the waiter's sleep and lose, bounded by the timeout), so require a fast
-  // wake in any of a few attempts rather than flaking on one lost race.
+  // timeout elapses. No wake is lost: the waiter publishes its park and
+  // re-scans before it sleeps, the push reads the park after publishing
+  // its items, so every attempt must wake fast.
   constexpr Micros kTimeout = 2 * kMicrosPerSecond;
-  bool woke_fast = false;
-  for (int attempt = 0; attempt < 3 && !woke_fast; ++attempt) {
+  bool woke_fast = true;
+  for (int attempt = 0; attempt < 3; ++attempt) {
     ShardedTaskQueue<int> queue(2);
     std::optional<int> got;
     Stopwatch watch;
@@ -445,12 +448,200 @@ TEST(ShardedTaskQueueTest, SiblingBatchWakesBlockedWaiter) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     ASSERT_TRUE(queue.PushBatch({7, 8}, 1));
     waiter.join();
-    woke_fast = watch.ElapsedMicros() < kTimeout / 2;
+    woke_fast = woke_fast && watch.ElapsedMicros() < kTimeout / 2;
     if (got.has_value()) {
       EXPECT_EQ(*got, 7);  // A steal takes the sibling's oldest item.
     }
   }
   EXPECT_TRUE(woke_fast);
+}
+
+// Polls until `shard`'s owner has published its park (or ~5 s pass), then
+// gives it time to finish the re-scan and fall asleep: a consumer claimed
+// mid-scan never sleeps, so its wake would not count.
+bool WaitParked(const ShardedTaskQueue<int>& queue, size_t shard) {
+  for (int i = 0; i < 5000 && queue.ParkOrder(shard) == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  return queue.ParkOrder(shard) != 0;
+}
+
+TEST(ShardedTaskQueueTest, SinglePushWakesParkedSiblingWhenOwnerIsBusy) {
+  // Nobody is parked on shard 0 (its owner is busy), so the one item pushed
+  // there is handed to the consumer parked on shard 1, which steals it well
+  // before its timeout instead of the item waiting behind running work.
+  constexpr Micros kTimeout = 5 * kMicrosPerSecond;
+  ShardedTaskQueue<int> queue(2);
+  std::optional<int> got;
+  Micros waited = 0;
+  std::thread waiter([&] {
+    const Stopwatch watch;
+    got = queue.PopWithTimeout(1, kTimeout);
+    waited = watch.ElapsedMicros();
+  });
+  EXPECT_TRUE(WaitParked(queue, 1));
+  EXPECT_TRUE(queue.PushToShard(0, 7));
+  waiter.join();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, 7);
+  EXPECT_LT(waited, kTimeout / 2);
+  EXPECT_EQ(queue.total_stolen(), 1u);
+  EXPECT_EQ(queue.total_wakeups(), 1u);
+}
+
+TEST(ShardedTaskQueueTest, PushWakesOneParkedConsumerPerItem) {
+  // Three consumers park on shards 1..3; shard 0 has none. One item wakes
+  // exactly one of them, a batch of two exactly two more; the others stay
+  // parked throughout, and every consumer parks again once idle.
+  ShardedTaskQueue<int> queue(4);
+  std::atomic<int> consumed{0};
+  std::vector<std::thread> consumers;
+  for (size_t c = 1; c <= 3; ++c) {
+    consumers.emplace_back([&queue, &consumed, c] {
+      while (true) {
+        if (queue.Pop(c).has_value()) {
+          consumed.fetch_add(1);
+        } else if (queue.closed()) {
+          return;
+        }
+      }
+    });
+  }
+  const auto all_parked = [&queue] {
+    return WaitParked(queue, 1) && WaitParked(queue, 2) && WaitParked(queue, 3);
+  };
+  const auto wait_consumed = [&consumed](int n) {
+    for (int i = 0; i < 5000 && consumed.load() < n; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return consumed.load() == n;
+  };
+  EXPECT_TRUE(all_parked());
+  EXPECT_EQ(queue.total_wakeups(), 0u);
+
+  EXPECT_TRUE(queue.PushToShard(0, 1));
+  EXPECT_TRUE(wait_consumed(1));
+  EXPECT_TRUE(all_parked());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // Late wakes would land here.
+  EXPECT_EQ(queue.total_wakeups(), 1u);
+
+  EXPECT_TRUE(queue.PushBatch({2, 3}, 0));
+  EXPECT_TRUE(wait_consumed(3));
+  EXPECT_TRUE(all_parked());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(queue.total_wakeups(), 3u);
+
+  queue.Close();
+  for (auto& consumer : consumers) {
+    consumer.join();
+  }
+  EXPECT_EQ(consumed.load(), 3);
+}
+
+TEST(ShardedTaskQueueTest, NoLostWakeupUnderRandomPushes) {
+  // Rounds of random pushes — singles and small batches, onto random
+  // shards, from two producers at once — each land just as the consumers
+  // head back into their parks after the previous round. Half the shards
+  // have no consumer (like a busy worker's), so their items move only by a
+  // sibling hand-off. Consumers park with a timeout far beyond the test's
+  // bound, so a lost wake strands an item: every round must be fully
+  // consumed within the bound, and no park may run out its timeout.
+  constexpr size_t kShards = 6;
+  constexpr size_t kConsumers = 3;
+  constexpr int kRounds = 20000;
+  constexpr Micros kParkTimeout = 60 * kMicrosPerSecond;
+  constexpr Micros kRoundBound = 5 * kMicrosPerSecond;
+  ShardedTaskQueue<int> queue(kShards);
+  std::atomic<int> consumed{0};
+  std::atomic<int64_t> sum{0};
+  std::atomic<int> timed_out{0};
+  std::vector<std::thread> consumers;
+  for (size_t c = 0; c < kConsumers; ++c) {
+    consumers.emplace_back([&, c] {
+      while (true) {
+        const Stopwatch park;
+        auto v = queue.PopWithTimeout(c, kParkTimeout);
+        if (v.has_value()) {
+          sum.fetch_add(*v);
+          consumed.fetch_add(1);
+        } else if (queue.closed()) {
+          return;
+        } else if (park.ElapsedMicros() >= kParkTimeout) {
+          timed_out.fetch_add(1);
+        }
+      }
+    });
+  }
+  // Pushes 1-3 items numbered from *next onto a random shard.
+  const auto push_some = [&queue](Rng& rng, int* next) {
+    const size_t shard = rng.NextBounded(kShards);
+    const int n = static_cast<int>(rng.UniformInt(1, 3));
+    if (n == 1) {
+      EXPECT_TRUE(queue.PushToShard(shard, (*next)++, rng.NextBounded(2) == 0));
+      return;
+    }
+    std::vector<int> batch;
+    for (int i = 0; i < n; ++i) {
+      batch.push_back((*next)++);
+    }
+    EXPECT_TRUE(queue.PushBatch(std::move(batch), shard));
+  };
+  std::atomic<int> round_started{-1};
+  std::atomic<int> helper_pushed{0};
+  std::atomic<int> helper_done{-1};
+  std::thread helper([&] {
+    Rng rng(2);
+    int next = 1 << 20;  // Disjoint from the main producer's numbers.
+    for (int round = 0; round < kRounds; ++round) {
+      while (round_started.load() < round) {
+        std::this_thread::yield();
+      }
+      const int before = next;
+      push_some(rng, &next);
+      helper_pushed.fetch_add(next - before);
+      helper_done.store(round);
+    }
+  });
+  Rng rng(1);
+  int next = 0;
+  int64_t expected_sum = 0;
+  bool stranded = false;
+  for (int round = 0; round < kRounds && !stranded; ++round) {
+    round_started.store(round);
+    const int before = next;
+    push_some(rng, &next);
+    for (int v = before; v < next; ++v) {
+      expected_sum += v;
+    }
+    while (helper_done.load() < round) {
+      std::this_thread::yield();
+    }
+    const int pushed = next + helper_pushed.load();
+    const Stopwatch wait;
+    while (consumed.load() < pushed && wait.ElapsedMicros() < kRoundBound) {
+      std::this_thread::yield();
+    }
+    stranded = consumed.load() < pushed;
+    EXPECT_FALSE(stranded) << "round " << round << ": " << pushed - consumed.load()
+                           << " item(s) stranded while consumers parked";
+  }
+  if (stranded) {
+    round_started.store(kRounds);  // Release the helper.
+  }
+  helper.join();
+  queue.Close();
+  for (auto& consumer : consumers) {
+    consumer.join();
+  }
+  EXPECT_EQ(timed_out.load(), 0);
+  EXPECT_EQ(queue.total_popped(), queue.total_pushed());
+  if (!stranded) {
+    const int64_t base = 1 << 20;
+    const int64_t helper_items = helper_pushed.load();
+    expected_sum += helper_items * base + helper_items * (helper_items - 1) / 2;
+    EXPECT_EQ(sum.load(), expected_sum);
+  }
 }
 
 TEST(ShardedTaskQueueTest, ApproxShardSizeTracksOperations) {

@@ -677,7 +677,8 @@ TEST(FrontendTest, StatzEndpointExposesLifecycleCounters) {
        {"\"invocations_cancelled\"", "\"invocations_deadline_exceeded\"",
         "\"inflight_interactive\"", "\"inflight_batch\"", "\"shed_429\"",
         "\"deadline_504\"", "\"compute_aborted\"", "\"open_connections\"",
-        "\"control_plane\"", "\"compute_workers\"", "\"comm_workers\""}) {
+        "\"control_plane\"", "\"compute_workers\"", "\"comm_workers\"",
+        "\"compute_wakeups\"", "\"comm_wakeups\""}) {
     EXPECT_NE(response->body.find(key), std::string::npos) << key << " missing in\n"
                                                            << response->body;
   }

@@ -7,12 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <dirent.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <csignal>
+#include <fstream>
+#include <thread>
 
 #include "src/base/clock.h"
 #include "src/http/http_parser.h"
@@ -507,6 +510,203 @@ TEST_F(WorkerSetTest, RoleShiftWithBackloggedShardLosesNoTask) {
   EXPECT_EQ(completed.load(), kTasks);
   EXPECT_EQ(workers_->compute_pushed(), static_cast<uint64_t>(kTasks));
   EXPECT_EQ(workers_->compute_popped(), static_cast<uint64_t>(kTasks));
+}
+
+// Context switches so far of this process's engine worker threads (named
+// "engine-<i>"), or -1 when /proc/self/task is unreadable. A parked worker
+// adds none; a polling one adds one per poll.
+int64_t EngineThreadSwitches() {
+  DIR* dir = opendir("/proc/self/task");
+  if (dir == nullptr) {
+    return -1;
+  }
+  int64_t total = 0;
+  while (const dirent* entry = readdir(dir)) {
+    const std::string task = std::string("/proc/self/task/") + entry->d_name;
+    std::ifstream comm(task + "/comm");
+    std::string name;
+    if (entry->d_name[0] == '.' || !std::getline(comm, name) || name.rfind("engine-", 0) != 0) {
+      continue;
+    }
+    std::ifstream status(task + "/status");
+    for (std::string line; std::getline(status, line);) {
+      if (line.rfind("voluntary_ctxt_switches:", 0) == 0 ||
+          line.rfind("nonvoluntary_ctxt_switches:", 0) == 0) {
+        total += std::stoll(line.substr(line.find(':') + 1));
+      }
+    }
+  }
+  closedir(dir);
+  return total;
+}
+
+// A compute task running the builtin echo on `payload`, counting `latch`
+// down when done.
+ComputeTask EchoTask(const std::string& payload, dbase::Latch* latch) {
+  auto ctx_result = MemoryContext::Create(1 << 16, nullptr);
+  EXPECT_TRUE(ctx_result.ok());
+  std::shared_ptr<MemoryContext> ctx = std::move(ctx_result).value();
+  EXPECT_TRUE(ctx->StoreInputSets(EchoInputs(payload)).ok());
+  ComputeTask task;
+  task.spec = EchoSpec();
+  task.context = ctx;
+  task.done = [latch](ExecOutcome) { latch->CountDown(); };
+  return task;
+}
+
+TEST(WorkerSetParkTest, IdleWorkersNeverWake) {
+  // Parked workers wake only for work: an idle set records no wakeups and
+  // its threads are not scheduled at all (no timed polling).
+  dhttp::ServiceMesh mesh;
+  WorkerSet::Config config;
+  config.num_workers = 4;
+  config.initial_comm_workers = 1;
+  WorkerSet workers(config, &mesh);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // Let every worker park.
+  const int64_t switches_before = EngineThreadSwitches();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const int64_t switches_after = EngineThreadSwitches();
+  const EngineStats stats = workers.Stats();
+  EXPECT_EQ(stats.compute_wakeups, 0u);
+  EXPECT_EQ(stats.comm_wakeups, 0u);
+  if (switches_before >= 0 && switches_after >= 0) {
+    EXPECT_LE(switches_after - switches_before, 4) << "idle engine workers were scheduled";
+  }
+}
+
+TEST(WorkerSetParkTest, SerialSubmitsWakeOneWorkerPerTask) {
+  // One task at a time against three parked compute workers: each submit
+  // wakes the one worker it lands on, not the whole role — through both the
+  // single and the batch submit path.
+  dhttp::ServiceMesh mesh;
+  WorkerSet::Config config;
+  config.num_workers = 4;
+  config.initial_comm_workers = 1;
+  WorkerSet workers(config, &mesh);
+  constexpr int kTasks = 200;
+  for (int i = 0; i < kTasks; ++i) {
+    dbase::Latch latch(1);
+    ComputeTask task = EchoTask("serial", &latch);
+    if (i % 2 == 0) {
+      ASSERT_TRUE(workers.SubmitCompute(std::move(task)));
+    } else {
+      std::vector<ComputeTask> batch;
+      batch.push_back(std::move(task));
+      ASSERT_TRUE(workers.SubmitComputeBatch(std::move(batch)));
+    }
+    ASSERT_TRUE(latch.WaitFor(5 * dbase::kMicrosPerSecond));
+  }
+  const EngineStats stats = workers.Stats();
+  EXPECT_EQ(stats.compute_tasks, static_cast<uint64_t>(kTasks));
+  EXPECT_LE(stats.compute_wakeups + stats.comm_wakeups, static_cast<uint64_t>(kTasks + 10));
+  EXPECT_GT(stats.compute_wakeups, 0u);  // Workers parked between tasks.
+  // Each submit lands on a parked worker's own shard, so nothing is stolen.
+  EXPECT_EQ(stats.compute_steals, 0u);
+}
+
+TEST(WorkerSetParkTest, ShiftedWorkerTakesUpItsNewRoleAtOnce) {
+  // A comm worker parked on its comm shard is shifted to compute. The shift
+  // must wake it: two compute tasks that can only finish together (each
+  // waits for the other to start) then run side by side on the two compute
+  // workers, instead of the second waiting behind the first.
+  dhttp::ServiceMesh mesh;
+  WorkerSet::Config config;
+  config.num_workers = 3;
+  config.initial_comm_workers = 2;
+  WorkerSet workers(config, &mesh);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // Let every worker park.
+  ASSERT_TRUE(workers.ShiftWorkerToCompute());
+  ASSERT_EQ(workers.compute_workers(), 2);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  constexpr int kTasks = 2;
+  std::atomic<int> started{0};
+  std::atomic<int> met{0};
+  dbase::Latch latch(kTasks);
+  for (int i = 0; i < kTasks; ++i) {
+    ComputeTask task = EchoTask("pair", &latch);
+    task.spec.body = [&started, &met](dfunc::FunctionCtx& fctx) {
+      started.fetch_add(1);
+      const dbase::Stopwatch wait;
+      while (started.load() < kTasks && wait.ElapsedMicros() < 5 * dbase::kMicrosPerSecond) {
+        std::this_thread::yield();
+      }
+      if (started.load() == kTasks) {
+        met.fetch_add(1);
+      }
+      return dfunc::EchoFunction(fctx);
+    };
+    ASSERT_TRUE(workers.SubmitCompute(std::move(task)));
+  }
+  ASSERT_TRUE(latch.WaitFor(20 * dbase::kMicrosPerSecond));
+  EXPECT_EQ(met.load(), kTasks) << "the shifted worker did not take up compute";
+}
+
+TEST(WorkerSetParkTest, TasksStreamWhileRolesShift) {
+  // Compute and comm tasks keep streaming, a few in flight at a time, while
+  // a shifter moves workers back and forth between the roles. Workers park
+  // without a timer, so a task stranded on a shard whose worker left the
+  // role — or a shifted worker left asleep in its old role — never
+  // completes and fails the wait.
+  dhttp::ServiceMesh mesh;
+  mesh.Register("echo.internal", std::make_shared<dhttp::EchoService>(),
+                dhttp::LatencyModel{.base_us = 50, .per_kb_us = 0.0, .jitter_sigma = 0.0});
+  WorkerSet::Config config;
+  config.num_workers = 4;
+  config.initial_comm_workers = 1;
+  WorkerSet workers(config, &mesh);
+  dhttp::HttpRequest request;
+  request.method = dhttp::Method::kPost;
+  request.target = "http://echo.internal/";
+  request.body = "ping";
+  const std::string raw_request = request.Serialize();
+
+  constexpr int kCompute = 3000;
+  constexpr int kComm = 1000;
+  constexpr int kWindow = 4;
+  dbase::Latch latch(kCompute + kComm);
+  std::atomic<int> inflight{0};
+  std::atomic<bool> streaming{true};
+  std::thread shifter([&] {
+    bool toward_comm = true;
+    while (streaming.load()) {
+      if (!(toward_comm ? workers.ShiftWorkerToComm() : workers.ShiftWorkerToCompute())) {
+        toward_comm = !toward_comm;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+  for (int i = 0; i < kCompute + kComm; ++i) {
+    while (inflight.load() >= kWindow) {
+      std::this_thread::yield();
+    }
+    inflight.fetch_add(1);
+    if (i % 4 == 3) {
+      CommTask task;
+      task.raw_request = raw_request;
+      task.done = [&](dhttp::HttpResponse, dbase::Micros) {
+        inflight.fetch_sub(1);
+        latch.CountDown();
+      };
+      ASSERT_TRUE(workers.SubmitComm(std::move(task)));
+    } else {
+      dbase::Latch* done = &latch;
+      ComputeTask task = EchoTask("stream", done);
+      task.done = [&inflight, done](ExecOutcome) {
+        inflight.fetch_sub(1);
+        done->CountDown();
+      };
+      ASSERT_TRUE(workers.SubmitCompute(std::move(task)));
+    }
+  }
+  const bool all_done = latch.WaitFor(20 * dbase::kMicrosPerSecond);
+  streaming.store(false);
+  shifter.join();
+  ASSERT_TRUE(all_done) << "a task was stranded across a role shift";
+  EXPECT_EQ(workers.compute_pushed(), static_cast<uint64_t>(kCompute));
+  EXPECT_EQ(workers.compute_popped(), static_cast<uint64_t>(kCompute));
+  EXPECT_EQ(workers.comm_pushed(), static_cast<uint64_t>(kComm));
+  EXPECT_EQ(workers.comm_popped(), static_cast<uint64_t>(kComm));
 }
 
 // -------------------------------------------------------------- Controller
