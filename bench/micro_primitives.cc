@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -95,7 +96,8 @@ BENCHMARK(BM_ShardedQueueSteal);
 // timed until a consumer acknowledges it. Arg 0: nobody is parked on
 // shard 0 (its owner is busy), so the push hands the item to one parked
 // sibling, which steals it. Arg 1: the item lands on a parked consumer's
-// own shard (shard 1) and wakes that owner.
+// own shard (shard 1) and wakes that owner. Each push comes well after the
+// parks, so the consumers are asleep, not spinning, and never earn a spin.
 void BM_ShardedQueueParkedWake(benchmark::State& state) {
   dbase::ShardedTaskQueue<int> queue(4);
   std::atomic<uint64_t> acked{0};
@@ -121,6 +123,7 @@ void BM_ShardedQueueParkedWake(benchmark::State& state) {
     while (!all_parked()) {
       std::this_thread::yield();
     }
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
     state.ResumeTiming();
     queue.PushToShard(target, 1);
     ++sent;

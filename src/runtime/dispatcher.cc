@@ -496,8 +496,7 @@ void Dispatcher::StartNodeLocked(const std::shared_ptr<InvocationState>& inv, si
 
   // Compute fan-outs are prepared instance by instance but handed to the
   // engines as one batch — a single queue crossing per each/key fan-out
-  // instead of one per instance. A single instance takes the plain submit
-  // path: it wakes at most the one parked worker it lands on.
+  // instead of one per instance.
   if (kind == Kind::kCompute) {
     std::vector<ComputeTask> batch;
     batch.reserve(launches.size());
@@ -509,10 +508,7 @@ void Dispatcher::StartNodeLocked(const std::shared_ptr<InvocationState>& inv, si
       }
       batch.push_back(std::move(*task));
     }
-    const bool submitted = batch.size() == 1
-                               ? workers_->SubmitCompute(std::move(batch.front()))
-                               : workers_->SubmitComputeBatch(std::move(batch));
-    if (!submitted) {
+    if (!workers_->SubmitComputeBatch(std::move(batch))) {
       FailLocked(inv, dbase::Unavailable("compute engines are shut down"));
     }
     return;

@@ -70,13 +70,12 @@ bool WorkerSet::SubmitComputeBatch(std::vector<ComputeTask> tasks) {
   // chunks in parallel instead of serializing steals against one victim
   // shard. Small fan-outs stay a single crossing on the least-loaded shard.
   constexpr size_t kMinChunk = 16;
-  if (tasks.size() < 2 * kMinChunk) {
-    const size_t shard = PickShard(EngineType::kCompute, compute_queue_);
-    return compute_queue_.PushBatch(std::move(tasks), shard, urgent);
-  }
   const std::vector<size_t> targets =
       ShardsWithRole(EngineType::kCompute, roles_.size());  // Exclude none.
-  const size_t chunks = std::min(targets.size(), tasks.size() / kMinChunk);
+  const size_t chunks =
+      targets.size() <= 1
+          ? 1
+          : std::min(targets.size(), std::max<size_t>(1, tasks.size() / kMinChunk));
   if (chunks <= 1) {
     const size_t shard = PickShard(EngineType::kCompute, compute_queue_);
     return compute_queue_.PushBatch(std::move(tasks), shard, urgent);
@@ -380,16 +379,6 @@ void WorkerSet::CompleteDue(std::vector<InFlight>* inflight, dbase::Micros now) 
   }
 }
 
-void WorkerSet::LeaveRole(size_t index, EngineType old_role) {
-  // The shift already re-homed this shard, but a submit that read the role
-  // just before the flip can land here after it.
-  if (old_role == EngineType::kCompute) {
-    compute_queue_.RehomeShard(index, ShardsWithRole(EngineType::kCompute, index));
-  } else {
-    comm_queue_.RehomeShard(index, ShardsWithRole(EngineType::kCommunication, index));
-  }
-}
-
 void WorkerSet::WorkerLoop(int index) {
   if (config_.pin_threads) {
     dbase::PinCurrentThreadToCpu(index);
@@ -409,18 +398,13 @@ void WorkerSet::WorkerLoop(int index) {
     }
     return std::max<dbase::Micros>(0, nearest - dbase::MonotonicClock::Get()->NowMicros());
   };
-  EngineType role = roles_[shard]->load(std::memory_order_relaxed);
 
   while (true) {
     const dbase::Micros now = dbase::MonotonicClock::Get()->NowMicros();
     CompleteDue(&inflight, now);
 
     const bool draining = shutdown_.load(std::memory_order_relaxed);
-    const EngineType current = roles_[shard]->load(std::memory_order_relaxed);
-    if (current != role) {
-      LeaveRole(shard, role);
-      role = current;
-    }
+    const EngineType role = roles_[static_cast<size_t>(index)]->load(std::memory_order_relaxed);
 
     if (role == EngineType::kCommunication || draining) {
       // Accept new requests up to the green-thread budget.

@@ -248,9 +248,6 @@ class WorkerSet {
   // Issues the mesh call and appends the pending completion to `inflight`.
   void StartCommTask(CommTask task, std::vector<InFlight>* inflight);
   void CompleteDue(std::vector<InFlight>* inflight, dbase::Micros now);
-  // Hands what worker `index` left queued in its old role to the workers
-  // still holding that role.
-  void LeaveRole(size_t index, EngineType old_role);
 
   Config config_;
   dhttp::ServiceMesh* mesh_;

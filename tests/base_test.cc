@@ -644,6 +644,55 @@ TEST(ShardedTaskQueueTest, NoLostWakeupUnderRandomPushes) {
   }
 }
 
+// Pushes `items` items onto a one-shard queue, each `gap_us` after its
+// consumer publishes a park, and waits for each to be taken.
+void PushAfterEachPark(ShardedTaskQueue<int>* queue, int items, Micros gap_us) {
+  std::atomic<int> consumed{0};
+  std::thread consumer([queue, &consumed] {
+    while (true) {
+      if (queue->Pop(0).has_value()) {
+        consumed.fetch_add(1);
+      } else if (queue->closed()) {
+        return;
+      }
+    }
+  });
+  for (int i = 0; i < items; ++i) {
+    while (queue->ParkOrder(0) == 0) {
+    }
+    const Stopwatch gap;
+    while (gap.ElapsedMicros() < gap_us) {
+    }
+    EXPECT_TRUE(queue->PushToShard(0, i));
+    while (consumed.load() <= i) {
+    }
+  }
+  queue->Close();
+  consumer.join();
+}
+
+TEST(ShardedTaskQueueTest, ConsumerSpinsThroughArrivalsThatFollowItsPark) {
+  // Each item lands a few microseconds after the consumer parks. Once a
+  // wake has come that soon, the consumer spins before it sleeps, so most
+  // items are taken without a sleep and a wake-up.
+  constexpr int kItems = 200;
+  ShardedTaskQueue<int> queue(1);
+  PushAfterEachPark(&queue, kItems, 5);
+  EXPECT_GT(queue.total_spins(), 0u);
+  EXPECT_LT(queue.total_wakeups(), static_cast<uint64_t>(kItems / 2));
+}
+
+TEST(ShardedTaskQueueTest, ConsumerNeverSpinsWhenWakesComeLate) {
+  // Each item lands 35 us after the consumer parks — later than a wake
+  // that earns a spin, as on a serial request stream — so the consumer
+  // sleeps at once every time and a gap between tasks costs no CPU.
+  constexpr int kItems = 200;
+  ShardedTaskQueue<int> queue(1);
+  PushAfterEachPark(&queue, kItems, 35);
+  EXPECT_EQ(queue.total_spins(), 0u);
+  EXPECT_GE(queue.total_wakeups(), static_cast<uint64_t>(kItems));
+}
+
 TEST(ShardedTaskQueueTest, ApproxShardSizeTracksOperations) {
   ShardedTaskQueue<int> queue(3);
   EXPECT_EQ(queue.ApproxShardSize(0), 0u);

@@ -583,6 +583,9 @@ TEST(WorkerSetParkTest, SerialSubmitsWakeOneWorkerPerTask) {
   config.num_workers = 4;
   config.initial_comm_workers = 1;
   WorkerSet workers(config, &mesh);
+  // Let the workers reach their first park: a submit that beats it lands
+  // on a shard nobody is parked on and is stolen.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
   constexpr int kTasks = 200;
   for (int i = 0; i < kTasks; ++i) {
     dbase::Latch latch(1);
@@ -595,6 +598,10 @@ TEST(WorkerSetParkTest, SerialSubmitsWakeOneWorkerPerTask) {
       ASSERT_TRUE(workers.SubmitComputeBatch(std::move(batch)));
     }
     ASSERT_TRUE(latch.WaitFor(5 * dbase::kMicrosPerSecond));
+    // The latch opens inside the task: let its worker finish and park
+    // before the next submit, which would otherwise go to a sleeping
+    // sibling and be stolen by the worker on its way to park.
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   const EngineStats stats = workers.Stats();
   EXPECT_EQ(stats.compute_tasks, static_cast<uint64_t>(kTasks));
